@@ -2,11 +2,11 @@ package core
 
 import "testing"
 
-// batchSizes are the settings every method must be invariant under: the
-// tuple-at-a-time fallback (-1), single-row batches (1), a size that straddles
-// every operator boundary (7) and one larger than any intermediate relation in
-// the running example (1024).  The default (BatchSize 0) is the baseline.
-var batchSizes = []int{-1, 1, 7, 1024}
+// batchSizes are the settings every method must be invariant under:
+// single-row batches (1), a size that straddles every operator boundary (7)
+// and one larger than any intermediate relation in the running example
+// (1024).  The default (BatchSize 0) is the baseline.
+var batchSizes = []int{1, 7, 1024}
 
 // TestMethodEquivalenceAcrossBatchSizes is the vectorization's safety net at
 // the evaluation layer: every method at every parallelism must produce answers,

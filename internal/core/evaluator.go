@@ -138,21 +138,24 @@ type Options struct {
 	// probabilities, same order — at every setting; parallelism is purely a
 	// performance knob.
 	Parallelism int
-	// BatchSize tunes the engine's vectorized batch pipeline: 0 (the default)
-	// uses the engine's own batch size, a positive value sets the rows per
-	// batch, and a negative value falls back to the tuple-at-a-time pipeline.
-	// Like Parallelism it is purely a performance knob — answers and operator
-	// statistics are identical at every setting.
+	// BatchSize tunes the engine's batch pipeline: 0 (the default) uses the
+	// engine's own batch size and a positive value sets the rows per batch;
+	// negative values are rejected.  Like Parallelism it is purely a
+	// performance knob — answers and operator statistics are identical at
+	// every setting.
 	BatchSize int
 }
 
 // Validate checks the options for values no evaluation can honour: a negative
 // parallelism (0 means GOMAXPROCS, 1 sequential; below that is a caller bug,
-// not a request for "less than sequential"), an unknown method or an unknown
-// strategy.  Returned errors wrap ErrBadOptions.
+// not a request for "less than sequential"), a negative batch size, an
+// unknown method or an unknown strategy.  Returned errors wrap ErrBadOptions.
 func (o Options) Validate() error {
 	if o.Parallelism < 0 {
 		return fmt.Errorf("%w: negative parallelism %d", ErrBadOptions, o.Parallelism)
+	}
+	if o.BatchSize < 0 {
+		return fmt.Errorf("%w: negative batch size %d", ErrBadOptions, o.BatchSize)
 	}
 	switch o.Method {
 	case MethodBasic, MethodEBasic, MethodEMQO, MethodQSharing, MethodOSharing:

@@ -5,15 +5,16 @@ import (
 	"fmt"
 )
 
-// This file is the vectorized batch pipeline, the batch-at-a-time counterpart
-// of the RowSource pipeline in source.go.  Operators exchange ~1024-row
-// batches — a window of row tuples plus a selection vector — instead of one
-// tuple per interface call, so the hot per-row work (predicate comparisons,
-// key hashing, column gathers) runs in tight loops with no per-row dispatch.
-// Output tuples are carved from the same flat value arenas as the tuple
-// pipeline, and every operator records the same logical statistics and
-// produces rows in the same order, so results are bit-identical to both the
-// RowSource pipeline and the naive reference at any batch size.
+// This file is the vectorized batch pipeline, the engine's one physical
+// operator set (naive.go keeps the independent reference).  Operators
+// exchange ~1024-row batches — a window of row tuples plus a selection vector
+// — instead of one tuple per interface call, so the hot per-row work
+// (predicate comparisons, key hashing, column gathers) runs in tight loops
+// with no per-row dispatch.  Output tuples are carved from flat value arenas.
+// Every operator records its logical statistics and produces rows in the
+// same order at any batch size, so results are bit-identical to the naive
+// reference.  Plans compile into these operators (plan.go), and the
+// relation-at-a-time API (operators.go) runs them over in-memory relations.
 
 // DefaultBatchSize is the number of rows per vector batch when the executor
 // does not override it.  Large enough to amortize per-batch bookkeeping to
@@ -53,33 +54,20 @@ type BatchSource interface {
 	NextBatch() (*Batch, bool, error)
 }
 
-// MaterializeBatches drains the source into a Relation, copying the live row
-// headers out of each batch before pulling the next.
+// MaterializeBatches drains the source into a Relation with row headers of its
+// own.
 func MaterializeBatches(src BatchSource) (*Relation, error) {
-	out := &Relation{Name: src.Name(), Columns: src.Columns()}
-	for {
-		b, ok, err := src.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		if b.Sel == nil {
-			out.Rows = append(out.Rows, b.Rows...)
-		} else {
-			for _, i := range b.Sel {
-				out.Rows = append(out.Rows, b.Rows[i])
-			}
-		}
+	rows, err := drainBatches(src)
+	if err != nil {
+		return nil, err
 	}
+	return &Relation{Name: src.Name(), Columns: src.Columns(), Rows: rows}, nil
 }
 
 // batchScan windows a materialized row list into batches — the leaf of every
 // batch pipeline, serving both base-relation scans (record=true, one "scan"
-// recorded at exhaustion, exactly like scanSource) and already-materialized
-// inputs (record=false, like matSource).  Row windows alias the backing
-// slice; nothing is copied.
+// recorded at exhaustion) and already-materialized inputs (record=false).
+// Row windows alias the backing slice; nothing is copied.
 type batchScan struct {
 	ctx    context.Context
 	name   string
@@ -175,9 +163,9 @@ func (s *batchFilter) NextBatch() (*Batch, bool, error) {
 	}
 }
 
-// batchProject gathers the projected columns of each batch into fresh tuples
-// carved as one flat arena block per batch, emitting a dense batch (no
-// selection vector).
+// batchProject gathers the projected columns of each batch's live rows
+// through projectRows, emitting a dense batch (no selection vector) whose
+// tuples are carved from the operator's arena.
 type batchProject struct {
 	ctx   context.Context
 	src   BatchSource
@@ -218,50 +206,17 @@ func (s *batchProject) NextBatch() (*Batch, bool, error) {
 		s.outRows = make([]Tuple, m)
 	}
 	out := s.outRows[:m]
-	k := len(s.idx)
-	switch {
-	case k == 0:
-		for r := range out {
-			out[r] = Tuple{}
+	rows := b.Rows
+	if b.Sel != nil {
+		// Gather the live row headers first; projectRows then rewrites them
+		// in place.
+		for r, i := range b.Sel {
+			out[r] = b.Rows[i]
 		}
-	case contiguousIdx(s.idx):
-		// Contiguous runs (every single-column projection) move no values:
-		// each output tuple is a capacity-clamped window of its input row,
-		// on the immutable-tuple contract projectRows documents.
-		j0, j1 := s.idx[0], s.idx[0]+k
-		if b.Sel == nil {
-			for r := range b.Rows {
-				out[r] = b.Rows[r][j0:j1:j1]
-			}
-		} else {
-			for r, i := range b.Sel {
-				out[r] = b.Rows[i][j0:j1:j1]
-			}
-		}
-	default:
-		flat := s.arena.tuple(k * m)
-		off := 0
-		if b.Sel == nil {
-			for r := range b.Rows {
-				row := b.Rows[r]
-				t := Tuple(flat[off : off+k : off+k])
-				for c, j := range s.idx {
-					t[c] = row[j]
-				}
-				out[r] = t
-				off += k
-			}
-		} else {
-			for r, i := range b.Sel {
-				row := b.Rows[i]
-				t := Tuple(flat[off : off+k : off+k])
-				for c, j := range s.idx {
-					t[c] = row[j]
-				}
-				out[r] = t
-				off += k
-			}
-		}
+		rows = out
+	}
+	if err := projectRows(s.ctx, rows, s.idx, out, &s.arena); err != nil {
+		return nil, false, err
 	}
 	s.n += m
 	s.nbat++
@@ -323,27 +278,44 @@ func (s *batchProduct) NextBatch() (*Batch, bool, error) {
 	if s.done {
 		return nil, false, nil
 	}
-	if !s.started {
-		s.started = true
-		if err := drainBatches(s.right, &s.rrows); err != nil {
-			return nil, false, err
-		}
-	}
 	if cap(s.outRows) < s.size {
 		s.outRows = make([]Tuple, 0, s.size)
 	}
-	out := s.outRows[:0]
-	for len(out) < s.size {
+	out, err := s.fill(s.outRows[:0])
+	if err != nil {
+		return nil, false, err
+	}
+	if len(out) == 0 {
+		return s.finish()
+	}
+	s.out += len(out)
+	s.nbat++
+	s.outb = Batch{Rows: out}
+	return &s.outb, true, nil
+}
+
+// fill appends product rows to out until it holds a full batch or the left
+// input is exhausted.  The right input is drained on first use.
+func (s *batchProduct) fill(out []Tuple) ([]Tuple, error) {
+	if !s.started {
+		s.started = true
+		rrows, err := drainBatches(s.right)
+		if err != nil {
+			return nil, err
+		}
+		s.rrows = rrows
+	}
+	for n := 1; len(out) < s.size; n++ {
+		if err := canceledEvery(s.ctx, n); err != nil {
+			return nil, err
+		}
 		if s.lb == nil {
 			b, ok, err := s.left.NextBatch()
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			if !ok {
-				if len(out) == 0 {
-					return s.finish()
-				}
-				break
+				return out, nil
 			}
 			s.leftIn += b.NumRows()
 			if len(s.rrows) == 0 {
@@ -361,25 +333,22 @@ func (s *batchProduct) NextBatch() (*Batch, bool, error) {
 			}
 		}
 	}
-	s.out += len(out)
-	s.nbat++
-	s.outb = Batch{Rows: out}
-	return &s.outb, true, nil
+	return out, nil
 }
 
-// drainBatches appends every live row header of the source into *rows.
-// sizeHinter is implemented by batch sources that can bound their output row
-// count before producing anything.  A scan knows its exact count and filters
-// and projections cannot grow their input, so the hint is an upper bound —
-// drainBatches turns it into one exact-capacity allocation instead of
-// geometric append growth (and the growth's copied-then-discarded garbage).
+// sizeHinter is implemented by batch sources that can bound or estimate
+// their output row count.  A scan knows its exact count, and filters and
+// projections cannot grow their input, so theirs is an upper bound; a join
+// whose probe side is a leaf estimates once its build table exists.
+// drainBatches turns the hint into one allocation instead of geometric append
+// growth (and the growth's copied-then-discarded garbage).
 type sizeHinter interface{ sizeHint() int }
 
 func (s *batchScan) sizeHint() int    { return len(s.rows) }
 func (s *batchFilter) sizeHint() int  { return sourceSizeHint(s.src) }
 func (s *batchProject) sizeHint() int { return sourceSizeHint(s.src) }
 
-// sourceSizeHint returns src's output row bound, or -1 when unknown.
+// sourceSizeHint returns src's output row hint, or -1 when unknown.
 func sourceSizeHint(src BatchSource) int {
 	if h, ok := src.(sizeHinter); ok {
 		return h.sizeHint()
@@ -387,38 +356,47 @@ func sourceSizeHint(src BatchSource) int {
 	return -1
 }
 
-func drainBatches(src BatchSource, rows *[]Tuple) error {
-	if *rows == nil {
-		if n := sourceSizeHint(src); n > 0 {
-			*rows = make([]Tuple, 0, n)
-		}
-	}
+// drainBatches copies every live row header of the source into a fresh slice,
+// sized from the source's hint once its first batch exists.
+func drainBatches(src BatchSource) (rows []Tuple, err error) {
 	for {
 		b, ok, err := src.NextBatch()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if !ok {
-			return nil
+			return rows, nil
+		}
+		if rows == nil {
+			n := sourceSizeHint(src)
+			if n < b.NumRows() {
+				n = b.NumRows()
+			}
+			rows = make([]Tuple, 0, n)
 		}
 		if b.Sel == nil {
-			*rows = append(*rows, b.Rows...)
+			rows = append(rows, b.Rows...)
 		} else {
 			for _, i := range b.Sel {
-				*rows = append(*rows, b.Rows[i])
+				rows = append(rows, b.Rows[i])
 			}
 		}
 	}
 }
 
-// batchJoin is the equi-join: the right input is drained into a hash index —
-// built partitioned across the worker pool when the build side is large
-// enough — and left batches probe it with their key hashes precomputed in one
-// tight loop per batch.  Chains preserve build-row order, so output order is
-// identical to the tuple pipeline's.
+// batchJoin is the equi-join, the engine's one join kernel.  Its build table
+// is either the right input drained and hashed per query — partitioned across
+// the worker pool when the build side is large enough — or, when the right
+// input is an untouched (possibly constant-filtered) base relation, the
+// instance's shared per-column index, with the right side's constant filters
+// evaluated per probed candidate (the levels): h queries probing the same join
+// then pay one build instead of h.  Left batches probe it with their key
+// hashes and bucket heads gathered in tight loops per batch.  Chains preserve
+// build-row order, so output order does not depend on where the build came
+// from.
 type batchJoin struct {
 	ctx         context.Context
-	left, right BatchSource
+	left, right BatchSource // right is nil when the build is shared
 	li, ri      int
 	name        string
 	cols        []string
@@ -427,11 +405,18 @@ type batchJoin struct {
 	stats       *Stats
 	arena       valueArena
 
+	// The shared build: the index cache, the base relation whose ri column
+	// it indexes, and the build side's constant filters.
+	cache  *IndexCache
+	base   *Relation
+	levels []selectLevel
+
 	started bool
 	build   *hashIndex
 	lb      *Batch
 	pi      int // dense position of the NEXT probe row within lb
 	hashes  []uint64
+	heads   []int32
 	cur     Tuple
 	curHash uint64
 	chain   int32
@@ -446,20 +431,86 @@ type batchJoin struct {
 func (s *batchJoin) Name() string      { return s.name }
 func (s *batchJoin) Columns() []string { return s.cols }
 
-// hashLeftBatch precomputes the probe-key hashes of the batch's live rows —
-// the interleaved batch FNV-1a pass feeding the shared bucket chains.
-func (s *batchJoin) hashLeftBatch(b *Batch) {
+// begin obtains the build table on first use: the shared index, or a
+// per-query build over the drained right input.
+func (s *batchJoin) begin() error {
+	if s.started {
+		return nil
+	}
+	s.started = true
+	if s.cache != nil {
+		build, err := s.cache.columnIndex(s.ctx, s.base, s.ri, s.stats)
+		if err != nil {
+			return err
+		}
+		s.stats.recordIndexLookup()
+		s.build = build
+		return nil
+	}
+	rrows, err := drainBatches(s.right)
+	if err != nil {
+		return err
+	}
+	build, err := buildColumnHashIndexPar(s.ctx, rrows, s.ri, s.workers, s.stats)
+	if err != nil {
+		return err
+	}
+	s.build = build
+	return nil
+}
+
+// probeBatch precomputes the probe-key hashes of the batch's live rows — the
+// interleaved batch FNV-1a pass — and then gathers their bucket heads in a
+// pass of their own: the masked loads are independent, so the out-of-order
+// window overlaps their cache misses instead of serializing them behind each
+// probe's chain walk.
+func (s *batchJoin) probeBatch(b *Batch) {
 	m := b.NumRows()
 	if cap(s.hashes) < m {
 		s.hashes = make([]uint64, m)
+		s.heads = make([]int32, m)
 	}
-	h := s.hashes[:m]
+	h, heads := s.hashes[:m], s.heads[:m]
 	if b.Sel == nil {
 		hashColumn(b.Rows, s.li, h)
 	} else {
 		hashColumnSel(b.Rows, s.li, b.Sel, h)
 	}
-	s.hashes = h
+	for i := range h {
+		heads[i] = s.build.lookup(h[i])
+	}
+	s.hashes, s.heads = h, heads
+	s.lb, s.pi = b, 0
+}
+
+// sizeHint is the no-duplicate-keys estimate of the join's output when the
+// probe side is a leaf of known size and no build-side filter thins the
+// matches: at most one match per probe row and per build row, so the smaller
+// side bounds a duplicate-free output.
+func (s *batchJoin) sizeHint() int {
+	l, ok := s.left.(*batchScan)
+	if !ok || s.build == nil || len(s.levels) > 0 {
+		return -1
+	}
+	if len(s.build.rows) < len(l.rows) {
+		return len(s.build.rows)
+	}
+	return len(l.rows)
+}
+
+func (s *batchJoin) finish() (*Batch, bool, error) {
+	if !s.done {
+		s.done = true
+		if s.cache != nil {
+			recordLevels(s.levels, s.stats)
+			// The build side was never read: only probe rows count as input.
+			s.stats.record(OpKindJoin, s.leftIn, s.out)
+		} else {
+			s.stats.record(OpKindJoin, s.leftIn+len(s.build.rows), s.out)
+		}
+		s.stats.recordBatches(s.nbat)
+	}
+	return nil, false, nil
 }
 
 func (s *batchJoin) NextBatch() (*Batch, bool, error) {
@@ -469,194 +520,75 @@ func (s *batchJoin) NextBatch() (*Batch, bool, error) {
 	if s.done {
 		return nil, false, nil
 	}
-	if !s.started {
-		s.started = true
-		var rrows []Tuple
-		if err := drainBatches(s.right, &rrows); err != nil {
-			return nil, false, err
-		}
-		build, err := buildColumnHashIndexPar(s.ctx, rrows, s.ri, s.workers, s.stats)
-		if err != nil {
-			return nil, false, err
-		}
-		s.build = build
-	}
 	if cap(s.outRows) < s.size {
 		s.outRows = make([]Tuple, 0, s.size)
 	}
-	out := s.outRows[:0]
-	build := s.build
-	for len(out) < s.size {
+	out, err := s.fill(s.outRows[:0])
+	if err != nil {
+		return nil, false, err
+	}
+	if len(out) == 0 {
+		return s.finish()
+	}
+	s.out += len(out)
+	s.nbat++
+	s.outb = Batch{Rows: out}
+	return &s.outb, true, nil
+}
+
+// fill appends joined rows to out until it holds a full batch or the probe
+// side is exhausted.
+func (s *batchJoin) fill(out []Tuple) ([]Tuple, error) {
+	if err := s.begin(); err != nil {
+		return nil, err
+	}
+	bnext, bhashes, brows := s.build.next, s.build.hashes, s.build.rows
+	for n := 1; len(out) < s.size; n++ {
+		if err := canceledEvery(s.ctx, n); err != nil {
+			return nil, err
+		}
 		if s.chain != 0 {
 			j := s.chain
-			s.chain = build.next[j-1]
-			if build.hashes[j-1] != s.curHash {
+			s.chain = bnext[j-1]
+			if bhashes[j-1] != s.curHash {
 				continue // bucket collision: different hash entirely
 			}
-			rr := build.rows[j-1]
+			rr := brows[j-1]
 			if !rr[s.ri].EqualKey(s.cur[s.li]) {
 				continue // hash collision, not an actual match
 			}
-			out = append(out, s.arena.concat(s.cur, rr))
-			continue
-		}
-		if s.lb == nil || s.pi >= s.lb.NumRows() {
-			b, ok, err := s.left.NextBatch()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				if len(out) == 0 {
-					if !s.done {
-						s.done = true
-						s.stats.record(OpKindJoin, s.leftIn+len(build.rows), s.out)
-						s.stats.recordBatches(s.nbat)
-					}
-					return nil, false, nil
+			if len(s.levels) > 0 {
+				keep, err := evalLevels(s.levels, rr)
+				if err != nil {
+					return nil, err
 				}
-				s.lb = nil
-				break
-			}
-			s.leftIn += b.NumRows()
-			s.hashLeftBatch(b)
-			s.lb, s.pi = b, 0
-		}
-		s.cur = liveRow(s.lb, s.pi)
-		s.curHash = s.hashes[s.pi]
-		s.pi++
-		s.chain = build.lookup(s.curHash)
-	}
-	s.out += len(out)
-	s.nbat++
-	s.outb = Batch{Rows: out}
-	return &s.outb, true, nil
-}
-
-// batchSharedJoin is batchJoin with the instance's shared per-column index as
-// the build table: the build side is a bare or constant-filtered base scan,
-// its filters evaluated per probed candidate (the levels), exactly like
-// sharedJoinSource — one shared build instead of one per query.
-type batchSharedJoin struct {
-	ctx    context.Context
-	cache  *IndexCache
-	left   BatchSource
-	li     int
-	base   *Relation
-	ri     int
-	name   string
-	cols   []string
-	size   int
-	stats  *Stats
-	arena  valueArena
-	levels []selectLevel
-
-	started bool
-	build   *hashIndex
-	lb      *Batch
-	pi      int
-	hashes  []uint64
-	cur     Tuple
-	curHash uint64
-	chain   int32
-	leftIn  int
-	out     int
-	nbat    int
-	outRows []Tuple
-	outb    Batch
-	done    bool
-}
-
-func (s *batchSharedJoin) Name() string      { return s.name }
-func (s *batchSharedJoin) Columns() []string { return s.cols }
-
-func (s *batchSharedJoin) hashLeftBatch(b *Batch) {
-	m := b.NumRows()
-	if cap(s.hashes) < m {
-		s.hashes = make([]uint64, m)
-	}
-	h := s.hashes[:m]
-	if b.Sel == nil {
-		hashColumn(b.Rows, s.li, h)
-	} else {
-		hashColumnSel(b.Rows, s.li, b.Sel, h)
-	}
-	s.hashes = h
-}
-
-func (s *batchSharedJoin) NextBatch() (*Batch, bool, error) {
-	if err := canceled(s.ctx); err != nil {
-		return nil, false, err
-	}
-	if s.done {
-		return nil, false, nil
-	}
-	if !s.started {
-		s.started = true
-		build, err := s.cache.columnIndex(s.ctx, s.base, s.ri, s.stats)
-		if err != nil {
-			return nil, false, err
-		}
-		s.stats.recordIndexLookup()
-		s.build = build
-	}
-	if cap(s.outRows) < s.size {
-		s.outRows = make([]Tuple, 0, s.size)
-	}
-	out := s.outRows[:0]
-	build := s.build
-	for len(out) < s.size {
-		if s.chain != 0 {
-			j := s.chain
-			s.chain = build.next[j-1]
-			if build.hashes[j-1] != s.curHash {
-				continue // bucket collision: different hash entirely
-			}
-			rr := build.rows[j-1]
-			if !rr[s.ri].EqualKey(s.cur[s.li]) {
-				continue // hash collision: not an actual match
-			}
-			keep, err := evalLevels(s.levels, rr)
-			if err != nil {
-				return nil, false, err
-			}
-			if !keep {
-				continue // filtered out of the build side
+				if !keep {
+					continue // filtered out of the build side
+				}
 			}
 			out = append(out, s.arena.concat(s.cur, rr))
 			continue
 		}
-		if s.lb == nil || s.pi >= s.lb.NumRows() {
+		if s.lb == nil || s.pi >= len(s.heads) {
 			b, ok, err := s.left.NextBatch()
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			if !ok {
-				if len(out) == 0 {
-					if !s.done {
-						s.done = true
-						recordLevels(s.levels, s.stats)
-						// The build side was never read: only probe rows count.
-						s.stats.record(OpKindJoin, s.leftIn, s.out)
-						s.stats.recordBatches(s.nbat)
-					}
-					return nil, false, nil
-				}
 				s.lb = nil
-				break
+				return out, nil
 			}
 			s.leftIn += b.NumRows()
-			s.hashLeftBatch(b)
-			s.lb, s.pi = b, 0
+			s.probeBatch(b)
 		}
-		s.cur = liveRow(s.lb, s.pi)
-		s.curHash = s.hashes[s.pi]
+		if j := s.heads[s.pi]; j != 0 {
+			s.cur = liveRow(s.lb, s.pi)
+			s.curHash = s.hashes[s.pi]
+			s.chain = j
+		}
 		s.pi++
-		s.chain = build.lookup(s.curHash)
 	}
-	s.out += len(out)
-	s.nbat++
-	s.outb = Batch{Rows: out}
-	return &s.outb, true, nil
+	return out, nil
 }
 
 // batchDistinct hashes each batch's live tuples in one pass and keeps
@@ -802,92 +734,181 @@ func (s *batchAgg) NextBatch() (*Batch, bool, error) {
 	return &s.outb, true, nil
 }
 
-// rowsToBatches adapts a RowSource into the batch pipeline — the retained
-// incremental-migration path.  Index-served sources (indexScanSource) stay
-// row-at-a-time behind this adapter; the wrapped source records its own
-// operator statistics.
-type rowsToBatches struct {
-	src   RowSource
+// batchIndexScan serves a stack of constant selections directly above an
+// untouched base relation from the shared per-column index: instead of
+// streaming every base row through the filters, it probes the index for the
+// rows whose probe column equals the constant and emits them as selection
+// vectors over the index's row list, with the residual comparisons of every
+// level applied per batch.  Probe matches come in base row order, so the
+// output is bit-identical to the scan+filter pipeline it replaces, and the
+// levels record the same logical selections.  When the column's content makes
+// the constant unanswerable from the index (mixed-kind columns whose
+// Compare-equality is wider than hash equality), it runs that plain pipeline
+// instead, built at run time by plain.
+type batchIndexScan struct {
+	ctx   context.Context
+	cache *IndexCache
+	base  *Relation
+	name  string
+	cols  []string
 	size  int
 	stats *Stats
 
-	buf  []Tuple
-	nbat int
-	done bool
-	outb Batch
+	probeCol int
+	probeVal Value
+	levels   []selectLevel
+	plain    func() (BatchSource, error)
+
+	started  bool
+	fallback BatchSource
+	rows     []Tuple
+	matches  []int32
+	mi       int
+	selbuf   []int32
+	nbat     int
+	done     bool
+	outb     Batch
 }
 
-func (s *rowsToBatches) Name() string      { return s.src.Name() }
-func (s *rowsToBatches) Columns() []string { return s.src.Columns() }
+func (s *batchIndexScan) Name() string      { return s.name }
+func (s *batchIndexScan) Columns() []string { return s.cols }
 
-func (s *rowsToBatches) NextBatch() (*Batch, bool, error) {
-	if s.done {
-		return nil, false, nil
+func (s *batchIndexScan) start() error {
+	idx, err := s.cache.columnIndex(s.ctx, s.base, s.probeCol, s.stats)
+	if err != nil {
+		return err
 	}
-	if s.buf == nil {
-		s.buf = make([]Tuple, 0, s.size)
+	probes, ok := probeValuesForEq(s.probeVal, idx.kinds, idx.hasNaN)
+	if !ok {
+		s.fallback, err = s.plain()
+		return err
 	}
-	buf := s.buf[:0]
-	for len(buf) < s.size {
-		row, ok, err := s.src.Next()
+	s.stats.recordIndexLookup()
+	s.matches, _, err = idx.probeMatches(s.ctx, probes)
+	s.rows = idx.rows
+	return err
+}
+
+func (s *batchIndexScan) NextBatch() (*Batch, bool, error) {
+	if err := canceled(s.ctx); err != nil {
+		return nil, false, err
+	}
+	if !s.started {
+		s.started = true
+		if err := s.start(); err != nil {
+			return nil, false, err
+		}
+	}
+	if s.fallback != nil {
+		return s.fallback.NextBatch()
+	}
+	// Survivors of the residual comparisons fill each batch up to size,
+	// however many probe matches that takes.
+	sel := s.selbuf[:0]
+	for s.mi < len(s.matches) && len(sel) < s.size {
+		if err := canceledEvery(s.ctx, s.mi); err != nil {
+			return nil, false, err
+		}
+		i := s.matches[s.mi]
+		s.mi++
+		keep, err := evalLevels(s.levels, s.rows[i])
 		if err != nil {
 			return nil, false, err
 		}
-		if !ok {
-			s.done = true
-			break
+		if keep {
+			sel = append(sel, i)
 		}
-		buf = append(buf, row)
 	}
-	s.buf = buf
-	if len(buf) == 0 {
+	s.selbuf = sel
+	if len(sel) > 0 {
+		s.nbat++
+		s.outb = Batch{Rows: s.rows, Sel: sel}
+		return &s.outb, true, nil
+	}
+	if !s.done {
+		s.done = true
+		recordLevels(s.levels, s.stats)
 		s.stats.recordBatches(s.nbat)
-		return nil, false, nil
 	}
-	s.nbat++
-	if s.done {
-		// Exhausted mid-batch: the final recordBatches must still happen.
-		s.stats.recordBatches(s.nbat)
-		s.nbat = 0
-	}
-	s.outb = Batch{Rows: buf}
-	return &s.outb, true, nil
+	return nil, false, nil
 }
 
-// batchesToRows adapts a BatchSource into a RowSource for consumers that still
-// iterate row at a time (tests, external integrations).  Row headers are
-// served straight from the current batch, which stays valid until the next
-// batch is pulled.
-type batchesToRows struct {
-	src BatchSource
-
-	b    *Batch
-	i    int // dense position within b
-	done bool
+// selectLevel is one bound selection of a constant-filter stack above a base
+// relation, with its rows-in/rows-out accounting.  A nil residual marks a
+// level whose predicate the index probe satisfies exactly.
+type selectLevel struct {
+	residual boundPredicate
+	in, out  int
 }
 
-func (s *batchesToRows) Name() string      { return s.src.Name() }
-func (s *batchesToRows) Columns() []string { return s.src.Columns() }
-
-func (s *batchesToRows) Next() (Tuple, bool, error) {
-	for {
-		if s.b != nil && s.i < s.b.NumRows() {
-			row := liveRow(s.b, s.i)
-			s.i++
-			return row, true, nil
+// evalLevels runs the row through the levels bottom-to-top, counting per-level
+// input and output rows exactly as a chain of selections would.
+func evalLevels(levels []selectLevel, row Tuple) (bool, error) {
+	for i := range levels {
+		l := &levels[i]
+		l.in++
+		if l.residual != nil {
+			ok, err := l.residual.eval(row)
+			if err != nil {
+				return false, err
+			}
+			if !ok {
+				return false, nil
+			}
 		}
-		if s.done {
-			return nil, false, nil
-		}
-		b, ok, err := s.src.NextBatch()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			s.done = true
-			s.b = nil
-			return nil, false, nil
-		}
-		s.b, s.i = b, 0
+		l.out++
 	}
+	return true, nil
+}
+
+// recordLevels records one executed selection per level, preserving the
+// logical operator counts of the scan+filter pipeline the index replaced.
+func recordLevels(levels []selectLevel, stats *Stats) {
+	for i := range levels {
+		stats.record(OpKindSelect, levels[i].in, levels[i].out)
+	}
+}
+
+// arenaChunkValues is the flat allocation unit for output tuples: operators
+// that build new tuples (project, product, join) carve them out of []Value
+// chunks of this size instead of calling make once per row.
+const arenaChunkValues = 8192
+
+// valueArena bulk-allocates tuples from flat []Value chunks.
+type valueArena struct {
+	buf []Value
+}
+
+// tuple returns a zero-length-capped slice of n fresh values.
+func (a *valueArena) tuple(n int) Tuple {
+	if n == 0 {
+		return Tuple{}
+	}
+	if len(a.buf) < n {
+		c := arenaChunkValues
+		if c < n {
+			c = n
+		}
+		a.buf = make([]Value, c)
+	}
+	t := Tuple(a.buf[:n:n])
+	a.buf = a.buf[n:]
+	return t
+}
+
+// concat appends lr and rr into one arena-backed tuple.
+func (a *valueArena) concat(lr, rr Tuple) Tuple {
+	t := a.tuple(len(lr) + len(rr))
+	copy(t, lr)
+	copy(t[len(lr):], rr)
+	return t
+}
+
+// canceledEvery reports the context error on the first call and then once per
+// checkInterval calls, keeping cancellation prompt at negligible per-row cost.
+func canceledEvery(ctx context.Context, n int) error {
+	if n%checkInterval == 0 {
+		return canceled(ctx)
+	}
+	return nil
 }

@@ -626,7 +626,8 @@ func (c *IndexCache) AppendInPlace(ctx context.Context, rel *Relation, oldLen in
 // Materialized scans (QualifyColumns) and o-sharing's untouched fragments
 // share the base relation's []Tuple, so pointer identity of the first row plus
 // equal length identifies an unfiltered base scan; any selection, projection
-// or product produces a fresh slice and fails the check.
+// or product produces a fresh slice and fails the check.  An empty row list
+// identifies nothing.
 func (c *IndexCache) baseForRows(rows []Tuple) (*Relation, bool) {
 	if len(rows) == 0 {
 		return nil, false
@@ -637,100 +638,4 @@ func (c *IndexCache) baseForRows(rows []Tuple) (*Relation, bool) {
 		}
 	}
 	return nil, false
-}
-
-// trySelect serves a constant selection over an untouched base scan from the
-// shared index: rows whose probe column equals the constant come from the
-// index in base row order, with the remaining constant comparisons evaluated
-// per matched row.  ok=false means the caller must run the plain selection
-// (wrong shape, no equality probe, or a column content the probe set cannot
-// cover).
-func (c *IndexCache) trySelect(ctx context.Context, rel *Relation, pred Predicate, stats *Stats) (*Relation, bool, error) {
-	consts, ok := constPreds(pred)
-	if !ok {
-		return nil, false, nil
-	}
-	base, ok := c.baseForRows(rel.Rows)
-	if !ok {
-		return nil, false, nil
-	}
-	probeAt, col := -1, -1
-	for i, cp := range consts {
-		if cp.Op != OpEq {
-			continue
-		}
-		if j := rel.ColumnIndex(cp.Column); j >= 0 {
-			probeAt, col = i, j
-			break
-		}
-	}
-	if probeAt < 0 {
-		return nil, false, nil
-	}
-	idx, err := c.columnIndex(ctx, base, col, stats)
-	if err != nil {
-		return nil, false, err
-	}
-	probes, ok := probeValuesForEq(consts[probeAt].Value, idx.kinds, idx.hasNaN)
-	if !ok {
-		return nil, false, nil
-	}
-	var residual boundPredicate
-	if rp := residualConsts(consts, probeAt); rp != nil {
-		residual, err = bindRelPredicate(rp, rel)
-		if err != nil {
-			return nil, false, err
-		}
-	}
-	matches, _, err := idx.probeMatches(ctx, probes)
-	if err != nil {
-		return nil, false, err
-	}
-	out := NewRelation(rel.Name, rel.Columns)
-	for _, mi := range matches {
-		row := idx.rows[mi]
-		if residual != nil {
-			keep, err := residual.eval(row)
-			if err != nil {
-				return nil, false, err
-			}
-			if !keep {
-				continue
-			}
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	stats.recordIndexLookup()
-	stats.record(OpKindSelect, len(matches), len(out.Rows))
-	return out, true, nil
-}
-
-// IndexedSelect is Select with an optional shared base-relation index: when
-// rel is an untouched scan of one of the cache's base relations and the
-// predicate is a constant equality the index can answer exactly, the matching
-// rows come from the per-column hash index instead of a full scan.  The result
-// is bit-identical to Select — same rows, same order.  The o-sharing
-// evaluator's fragment selections go through here; a nil cache is the plain
-// Select.
-func IndexedSelect(ctx context.Context, rel *Relation, pred Predicate, stats *Stats, cache *IndexCache) (*Relation, error) {
-	if cache != nil {
-		out, ok, err := cache.trySelect(ctx, rel, pred, stats)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return out, nil
-		}
-	}
-	return Select(ctx, rel, pred, stats)
-}
-
-// IndexedHashJoin is HashJoin with an optional shared build table: when the
-// build (right) side is an untouched scan of one of the cache's base
-// relations, the join probes the instance's shared per-column index instead of
-// draining and hashing the build side per query.  Join matching is EqualKey in
-// both paths, so the output is bit-identical to HashJoin.  A nil cache is the
-// plain HashJoin.
-func IndexedHashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol string, stats *Stats, cache *IndexCache) (*Relation, error) {
-	return hashJoin(ctx, left, right, leftCol, rightCol, stats, cache, 0)
 }

@@ -118,37 +118,125 @@ func randIndexedPlan(rng *rand.Rand) Plan {
 	}
 }
 
+// mixedProbeRelation builds a column mixing ints and floats with one NaN,
+// which Compare-equals every number: no numeric constant is answerable from
+// an index over it, so selections on it must take the index scan's fallback.
+func mixedProbeRelation(rng *rand.Rand) *Relation {
+	r := NewRelation("M", []string{"v", "w"})
+	n := 1 + rng.Intn(30)
+	nan := rng.Intn(n)
+	for i := 0; i < n; i++ {
+		v := I(int64(rng.Intn(4)))
+		switch {
+		case i == nan:
+			v = F(math.NaN())
+		case rng.Intn(2) == 0:
+			v = F(float64(rng.Intn(4)))
+		}
+		r.MustAppend(Tuple{v, I(int64(rng.Intn(3)))})
+	}
+	return r
+}
+
+// mixedProbePlan selects on the mixed column with a numeric constant and
+// sometimes a residual comparison.
+func mixedProbePlan(rng *rand.Rand) Plan {
+	var c Value = I(int64(rng.Intn(4)))
+	if rng.Intn(2) == 0 {
+		c = F(float64(rng.Intn(4)))
+	}
+	var pred Predicate = Eq("M.v", c)
+	if rng.Intn(2) == 0 {
+		pred = And(pred, &ConstPredicate{Column: "M.w", Op: CompareOp(rng.Intn(6)), Value: I(1)})
+	}
+	return &SelectPlan{Pred: pred, Child: &ScanPlan{Relation: "M"}}
+}
+
 // TestIndexedExecutorMatchesNaive drives randomized index-shaped plans through
-// the index-aware executor and requires results bit-identical to the naive
-// reference: same rows, same order, same columns.  (Statistics legitimately
-// differ — fewer scans — so only relations are compared.)
+// the index-aware executor — uncached and cached (materialized, MQO-style),
+// at batch sizes that put every batch boundary inside the probe matches — and
+// requires results bit-identical to the naive reference: same rows, same
+// order, same columns.  Statistics legitimately differ from the reference
+// (fewer scans), but must not depend on the batch size.  Each trial also runs
+// a selection on a mixed int/float column the index cannot answer, which
+// must take the plain fallback without recording an index lookup.
 func TestIndexedExecutorMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	for trial := 0; trial < 400; trial++ {
 		db := NewInstance("D")
 		db.AddRelation(randRelation(rng, "L", []string{"a", "b", "c"}, rng.Intn(50)))
 		db.AddRelation(randRelation(rng, "R", []string{"x", "y"}, rng.Intn(40)))
-		plan := randIndexedPlan(rng)
-		label := fmt.Sprintf("trial %d plan %s", trial, plan.Signature())
+		db.AddRelation(mixedProbeRelation(rng))
+		for pi, plan := range []Plan{randIndexedPlan(rng), mixedProbePlan(rng)} {
+			fallback := pi == 1
+			label := fmt.Sprintf("trial %d plan %s", trial, plan.Signature())
+			want, err1 := NaiveExecute(bgCtx, db, plan, NewStats())
+			for _, cached := range []bool{false, true} {
+				var first *Stats
+				for _, bs := range []int{1, 7, 1024} {
+					ex := &Executor{DB: db, Stats: NewStats(), Indexes: db.Indexes(), Batch: bs}
+					if cached {
+						ex.Cache = NewPlanCache()
+					}
+					got, err2 := ex.ExecuteContext(bgCtx, plan)
+					blabel := fmt.Sprintf("%s cached=%v batch %d", label, cached, bs)
+					if (err1 == nil) != (err2 == nil) {
+						t.Fatalf("%s: naive err=%v, indexed err=%v", blabel, err1, err2)
+					}
+					if err1 != nil {
+						continue
+					}
+					requireSameRelation(t, blabel, want, got)
+					if fallback && ex.Stats.IndexLookups() != 0 {
+						t.Fatalf("%s: %d index lookups on an unanswerable column, want 0", blabel, ex.Stats.IndexLookups())
+					}
+					if first == nil {
+						first = ex.Stats
+						continue
+					}
+					requireSameStats(t, blabel, first, ex.Stats)
+					if first.IndexLookups() != ex.Stats.IndexLookups() ||
+						first.SelectRowsIn() != ex.Stats.SelectRowsIn() ||
+						first.SelectRowsOut() != ex.Stats.SelectRowsOut() {
+						t.Fatalf("%s: lookups/select rows %d/%d/%d, batch 1 had %d/%d/%d", blabel,
+							ex.Stats.IndexLookups(), ex.Stats.SelectRowsIn(), ex.Stats.SelectRowsOut(),
+							first.IndexLookups(), first.SelectRowsIn(), first.SelectRowsOut())
+					}
+				}
+			}
+		}
+	}
+}
 
-		want, err1 := NaiveExecute(bgCtx, db, plan, NewStats())
-		ex := &Executor{DB: db, Stats: NewStats(), Indexes: db.Indexes()}
-		got, err2 := ex.ExecuteContext(bgCtx, plan)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("%s: naive err=%v, indexed err=%v", label, err1, err2)
+// TestIndexScanPacksFullBatches pins the index scan's batch shape when a
+// residual comparison drops probe matches: survivors are packed into full
+// batches across match windows, so the scan emits ceil(survivors/size)
+// batches, as the scan+filter pipeline's materialized output would hold.
+func TestIndexScanPacksFullBatches(t *testing.T) {
+	db := NewInstance("D")
+	r := NewRelation("T", []string{"id", "v"})
+	for i := 0; i < 200; i++ {
+		r.MustAppend(Tuple{I(int64(i % 2)), I(int64(i % 5))})
+	}
+	db.AddRelation(r)
+	// id = 0 matches 100 rows; v < 2 keeps 40 of them, spread over every
+	// window of 7 matches.
+	plan := &SelectPlan{
+		Pred:  &ConstPredicate{Column: "T.v", Op: OpLt, Value: I(2)},
+		Child: &SelectPlan{Pred: Eq("T.id", I(0)), Child: &ScanPlan{Relation: "T"}},
+	}
+	for _, bs := range []int{1, 7, 1024} {
+		ex := &Executor{DB: db, Stats: NewStats(), Indexes: db.Indexes(), Batch: bs}
+		got, err := ex.ExecuteContext(bgCtx, plan)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err1 != nil {
-			continue
+		if len(got.Rows) != 40 || ex.Stats.IndexLookups() != 1 {
+			t.Fatalf("batch %d: %d rows, %d lookups; want 40 rows, 1 lookup", bs, len(got.Rows), ex.Stats.IndexLookups())
 		}
-		requireSameRelation(t, label, want, got)
-
-		// The cached (materialized, MQO-style) executor must agree too.
-		exc := &Executor{DB: db, Stats: NewStats(), Indexes: db.Indexes(), Cache: NewPlanCache()}
-		gotc, err3 := exc.ExecuteContext(bgCtx, plan)
-		if err3 != nil {
-			t.Fatalf("%s: cached indexed executor: %v", label, err3)
+		if want := (40 + bs - 1) / bs; ex.Stats.Batches() != want {
+			t.Errorf("batch %d: %d batches, want %d", bs, ex.Stats.Batches(), want)
 		}
-		requireSameRelation(t, label+" (cached)", want, gotc)
 	}
 }
 

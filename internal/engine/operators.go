@@ -24,99 +24,79 @@ func canceled(ctx context.Context) error {
 	}
 }
 
-// The functions below are the materialized operator API: each consumes
+// The functions below are the relation-at-a-time operator API: each consumes
 // materialized relations and produces a materialized relation, recording one
 // operator execution.  The o-sharing evaluator uses them directly — its
 // fragments must stay materialized so partially executed state can be shared
-// across e-units — while the plan executor streams through the RowSource
-// pipeline in source.go instead.  Both paths share the same hashing, predicate
-// binding and tuple-arena machinery, and produce identical results and
-// statistics.
+// across e-units.  Each runs the matching batch operator over its in-memory
+// inputs (a plan whose leaves are MaterialPlans), so the relation API and the
+// plan executor share one kernel per operator.
 
-// Select returns the rows of rel satisfying the predicate.  The predicate is
-// bound once — column references resolve to positions before the scan — so
-// per-row evaluation does no name lookups.
+// runOperator executes a one-operator plan over materialized inputs.
+func runOperator(ctx context.Context, p Plan, stats *Stats, cache *IndexCache) (*Relation, error) {
+	return (&Executor{Stats: stats, Indexes: cache}).ExecuteContext(ctx, p)
+}
+
+// Select returns the rows of rel satisfying the predicate.
 func Select(ctx context.Context, rel *Relation, pred Predicate, stats *Stats) (*Relation, error) {
-	if err := canceled(ctx); err != nil {
-		return nil, err
-	}
-	vp, err := compileVecPredicate(pred, rel.ColumnIndex, rel.Columns)
-	if err != nil {
-		return nil, err
-	}
-	out := NewRelation(rel.Name, rel.Columns)
-	rows := rel.Rows
-	// Filter the whole relation into one selection vector first (pointer-free,
-	// so it is nearly invisible to the GC), then allocate the output row list
-	// at its exact final size: no growth reallocations, no over-allocation.
-	sel := make([]int32, 0, len(rows))
-	var selbuf []int32
-	for lo := 0; lo < len(rows); lo += checkInterval {
-		if lo > 0 {
-			if err := canceled(ctx); err != nil {
-				return nil, err
-			}
-		}
-		hi := lo + checkInterval
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		blockSel, err := vp.filterSel(rows[lo:hi], nil, selbuf[:0])
-		if err != nil {
-			return nil, err
-		}
-		selbuf = blockSel
-		for _, i := range blockSel {
-			sel = append(sel, i+int32(lo))
-		}
-	}
-	if len(sel) > 0 {
-		out.Rows = make([]Tuple, len(sel))
-		for k, i := range sel {
-			out.Rows[k] = rows[i]
-		}
-	}
-	stats.record(OpKindSelect, len(rel.Rows), len(out.Rows))
-	return out, nil
+	return IndexedSelect(ctx, rel, pred, stats, nil)
+}
+
+// IndexedSelect is Select with an optional shared base-relation index: when
+// rel is an untouched scan of one of the cache's base relations and the
+// predicate is a constant equality the index can answer exactly, the matching
+// rows come from the per-column hash index instead of a full scan.  The result
+// is bit-identical to Select — same rows, same order.  The o-sharing
+// evaluator's fragment selections go through here; a nil cache is the plain
+// Select.
+func IndexedSelect(ctx context.Context, rel *Relation, pred Predicate, stats *Stats, cache *IndexCache) (*Relation, error) {
+	return runOperator(ctx, &SelectPlan{Pred: pred, Child: &MaterialPlan{Rel: rel}}, stats, cache)
 }
 
 // Project returns rel restricted to the given columns, in the given order.
 // Duplicate rows are preserved (bag semantics); use Distinct to remove them.
-// Output tuples are carved from a flat arena rather than allocated per row.
 func Project(ctx context.Context, rel *Relation, columns []string, stats *Stats) (*Relation, error) {
-	if err := canceled(ctx); err != nil {
-		return nil, err
-	}
-	idx := make([]int, len(columns))
-	outCols := make([]string, len(columns))
-	for i, c := range columns {
-		j := rel.ColumnIndex(c)
-		if j < 0 {
-			return nil, fmt.Errorf("project: column %q not found in %v", c, rel.Columns)
-		}
-		idx[i] = j
-		outCols[i] = rel.Columns[j]
-	}
-	out := NewRelation(rel.Name, outCols)
-	if err := projectRows(ctx, rel.Rows, idx, &out.Rows); err != nil {
-		return nil, err
-	}
-	stats.record(OpKindProject, len(rel.Rows), len(out.Rows))
-	return out, nil
+	return runOperator(ctx, &ProjectPlan{Columns: columns, Child: &MaterialPlan{Rel: rel}}, stats, nil)
 }
 
-// projectRows gathers the idx columns of every input row into *out, sized
-// exactly: one value slab and one row-header slab for the whole input, no
-// growth reallocations.  The one- and two-column widths — virtually every
-// projection the reformulated workloads produce — run specialized loops.
-//
-// When the requested columns are a contiguous run in source order (every
-// single-column projection is), no values move at all: each output tuple is a
-// capacity-clamped subslice of its input row.  Tuples are immutable once
-// built — the batch pipeline already aliases base-relation rows into batches
-// on the same contract — so sharing the value backing is observationally
-// identical to copying it.  The full slice expression pins cap to the window,
-// keeping any later append from writing into the source row's other columns.
+// Product returns the Cartesian product of two relations.  Column names are
+// kept as-is, so callers should qualify them beforehand when they may collide.
+func Product(ctx context.Context, left, right *Relation, stats *Stats) (*Relation, error) {
+	return runOperator(ctx, &ProductPlan{Left: &MaterialPlan{Rel: left}, Right: &MaterialPlan{Rel: right}}, stats, nil)
+}
+
+// HashJoin returns the equi-join of left and right on leftCol = rightCol.
+// It builds a hash table on the right input, keyed by the 64-bit value hash;
+// probes compare candidate rows with EqualKey, so no key strings are ever
+// formatted.
+func HashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol string, stats *Stats) (*Relation, error) {
+	return IndexedHashJoin(ctx, left, right, leftCol, rightCol, stats, nil)
+}
+
+// IndexedHashJoin is HashJoin with an optional shared build table: when the
+// build (right) side is an untouched scan of one of the cache's base
+// relations, the join probes the instance's shared per-column index instead of
+// draining and hashing the build side per query.  Join matching is EqualKey in
+// both paths, so the output is bit-identical to HashJoin.  A nil cache is the
+// plain HashJoin.
+func IndexedHashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol string, stats *Stats, cache *IndexCache) (*Relation, error) {
+	p := &JoinPlan{LeftCol: leftCol, RightCol: rightCol, Left: &MaterialPlan{Rel: left}, Right: &MaterialPlan{Rel: right}}
+	return runOperator(ctx, p, stats, cache)
+}
+
+// Distinct removes duplicate rows, preserving first-seen order.
+func Distinct(ctx context.Context, rel *Relation, stats *Stats) (*Relation, error) {
+	return runOperator(ctx, &DistinctPlan{Child: &MaterialPlan{Rel: rel}}, stats, nil)
+}
+
+// Aggregate computes a single-row aggregate over the relation.  COUNT ignores
+// the column (counting rows); the other functions require a numeric column
+// except MIN/MAX which also order strings.  The result relation has a single
+// column named after the aggregate.
+func Aggregate(ctx context.Context, rel *Relation, fn AggFunc, column string, stats *Stats) (*Relation, error) {
+	return runOperator(ctx, &AggregatePlan{Func: fn, Column: column, Child: &MaterialPlan{Rel: rel}}, stats, nil)
+}
+
 // contiguousIdx reports whether the projection indices are a contiguous
 // ascending run of source columns, the shape the zero-copy window path serves.
 func contiguousIdx(idx []int) bool {
@@ -128,24 +108,27 @@ func contiguousIdx(idx []int) bool {
 	return len(idx) > 0
 }
 
-func projectRows(ctx context.Context, rows []Tuple, idx []int, out *[]Tuple) error {
+// projectRows is the engine's one projection kernel: it writes the idx
+// columns of every rows[i] into dst[i] (len(dst) == len(rows); dst may alias
+// rows, since each header is read before its slot is overwritten and the value
+// backing is never written).  Gathered values come from one flat slab carved
+// from arena, or from one exactly sized allocation when arena is nil.  The
+// one- and two-column widths — virtually every projection the reformulated
+// workloads produce — run specialized loops.
+//
+// When the requested columns are a contiguous run in source order (every
+// single-column projection is), no values move at all: each output tuple is a
+// capacity-clamped subslice of its input row.  Tuples are immutable once
+// built — batches already alias base-relation rows on the same contract — so
+// sharing the value backing is observationally identical to copying it.  The
+// full slice expression pins cap to the window, keeping any later append from
+// writing into the source row's other columns.
+func projectRows(ctx context.Context, rows []Tuple, idx []int, dst []Tuple, arena *valueArena) error {
 	n := len(rows)
 	if n == 0 {
 		return nil
 	}
 	k := len(idx)
-	// Reuse the caller's slice when it has the capacity — the batch executor
-	// hands back the drained (private) header slice so a root projection
-	// rewrites headers in place instead of allocating a second slab.  Headers
-	// are copied into locals before their slot is overwritten, and the value
-	// backing is never written, so dst may alias rows.
-	dst := *out
-	if cap(dst) >= n {
-		dst = dst[:n]
-	} else {
-		dst = make([]Tuple, n)
-	}
-	*out = dst
 	if k == 0 {
 		for i := range dst {
 			dst[i] = Tuple{}
@@ -170,7 +153,12 @@ func projectRows(ctx context.Context, rows []Tuple, idx []int, out *[]Tuple) err
 		}
 		return nil
 	}
-	flat := make([]Value, k*n)
+	var flat []Value
+	if arena != nil {
+		flat = arena.tuple(k * n)
+	} else {
+		flat = make([]Value, k*n)
+	}
 	for lo := 0; lo < n; lo += checkInterval {
 		if lo > 0 {
 			if err := canceled(ctx); err != nil {
@@ -216,204 +204,6 @@ func projectRows(ctx context.Context, rows []Tuple, idx []int, out *[]Tuple) err
 	return nil
 }
 
-// Product returns the Cartesian product of two relations.  Column names are
-// kept as-is, so callers should qualify them beforehand when they may collide.
-// The output grows geometrically: pre-sizing it to rows(left)·rows(right)
-// could overflow int or demand absurd memory before the first row exists.
-func Product(ctx context.Context, left, right *Relation, stats *Stats) (*Relation, error) {
-	if err := canceled(ctx); err != nil {
-		return nil, err
-	}
-	cols := make([]string, 0, len(left.Columns)+len(right.Columns))
-	cols = append(cols, left.Columns...)
-	cols = append(cols, right.Columns...)
-	out := NewRelation(left.Name+"x"+right.Name, cols)
-	var arena valueArena
-	produced := 0
-	for _, lr := range left.Rows {
-		for _, rr := range right.Rows {
-			produced++
-			if produced%checkInterval == 0 {
-				if err := canceled(ctx); err != nil {
-					return nil, err
-				}
-			}
-			out.Rows = append(out.Rows, arena.concat(lr, rr))
-		}
-	}
-	stats.record(OpKindProduct, len(left.Rows)+len(right.Rows), len(out.Rows))
-	return out, nil
-}
-
-// HashJoin returns the equi-join of left and right on leftCol = rightCol.
-// It builds a hash table on the right input, keyed by the 64-bit value hash;
-// probes compare candidate rows with EqualKey, so no key strings are ever
-// formatted.
-func HashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol string, stats *Stats) (*Relation, error) {
-	return hashJoin(ctx, left, right, leftCol, rightCol, stats, nil, 0)
-}
-
-// hashJoin is the equi-join shared by HashJoin and IndexedHashJoin: when the
-// cache identifies the right side as an untouched base scan, the build table
-// is the instance's shared per-column index; otherwise it is built here from
-// the right rows — partitioned across workers when the build side is large
-// enough (the built structure is byte-identical either way).
-func hashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol string, stats *Stats, cache *IndexCache, workers int) (*Relation, error) {
-	if err := canceled(ctx); err != nil {
-		return nil, err
-	}
-	li := left.ColumnIndex(leftCol)
-	if li < 0 {
-		return nil, fmt.Errorf("join: column %q not found in %v", leftCol, left.Columns)
-	}
-	ri := right.ColumnIndex(rightCol)
-	if ri < 0 {
-		return nil, fmt.Errorf("join: column %q not found in %v", rightCol, right.Columns)
-	}
-	cols := make([]string, 0, len(left.Columns)+len(right.Columns))
-	cols = append(cols, left.Columns...)
-	cols = append(cols, right.Columns...)
-	out := NewRelation(left.Name+"⋈"+right.Name, cols)
-
-	var build *hashIndex
-	shared := false
-	if cache != nil {
-		if base, ok := cache.baseForRows(right.Rows); ok {
-			idx, err := cache.columnIndex(ctx, base, ri, stats)
-			if err != nil {
-				return nil, err
-			}
-			stats.recordIndexLookup()
-			build, shared = idx, true
-		}
-	}
-	if build == nil {
-		var err error
-		build, err = buildColumnHashIndexPar(ctx, right.Rows, ri, workers, stats)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := probeJoin(ctx, left.Rows, li, ri, build, out); err != nil {
-		return nil, err
-	}
-	if shared {
-		// The build side was not read: only the probe rows count as input.
-		stats.record(OpKindJoin, len(left.Rows), len(out.Rows))
-	} else {
-		stats.record(OpKindJoin, len(left.Rows)+len(right.Rows), len(out.Rows))
-	}
-	return out, nil
-}
-
-// probeJoin streams the left rows against the build index, appending joined
-// rows to out.  Probe-key hashes are precomputed one block at a time — the
-// same batch FNV-1a pass the batch pipeline's join runs — and chain entries
-// whose stored hash differs are rejected without touching the candidate row.
-// Chains preserve build-row order, so output order is identical whether the
-// index was built here or shared.
-func probeJoin(ctx context.Context, lrows []Tuple, li, ri int, build *hashIndex, out *Relation) error {
-	var arena valueArena
-	// Seed the output at the no-duplicate-keys estimate: at most one match per
-	// probe and at most one per build row, so the smaller side bounds the
-	// duplicate-free output.  Joins at or under it never reallocate; larger
-	// outputs fall back to geometric growth.  The arena is reserved to the
-	// same estimate, so the common foreign-key shape fills exactly one value
-	// slab instead of leaving a partially used chunk behind.
-	if len(lrows) > 0 && len(build.rows) > 0 {
-		seed := len(lrows)
-		if len(build.rows) < seed {
-			seed = len(build.rows)
-		}
-		out.Rows = make([]Tuple, 0, seed)
-		if w := len(lrows[0]) + len(build.rows[0]); w > 0 && seed <= (1<<31)/w {
-			arena.reserve(seed * w)
-		}
-	}
-	hashes := make([]uint64, DefaultBatchSize)
-	heads := make([]int32, DefaultBatchSize)
-	bnext, bhashes, brows := build.next, build.hashes, build.rows
-	probed := 0
-	for lo := 0; lo < len(lrows); lo += DefaultBatchSize {
-		if err := canceled(ctx); err != nil {
-			return err
-		}
-		hi := lo + DefaultBatchSize
-		if hi > len(lrows) {
-			hi = len(lrows)
-		}
-		block := lrows[lo:hi]
-		hashColumn(block, li, hashes[:len(block)])
-		// Gather the bucket heads in their own pass: the masked loads are
-		// independent, so the out-of-order window overlaps their cache misses
-		// instead of serializing them behind each probe's chain walk.
-		for i := range block {
-			heads[i] = build.lookup(hashes[i])
-		}
-		for i := range block {
-			j := heads[i]
-			if j == 0 {
-				continue // empty bucket: no candidate shares the hash prefix
-			}
-			lr := block[i]
-			v := lr[li]
-			h := hashes[i]
-			for ; j != 0; j = bnext[j-1] {
-				probed++
-				if probed%checkInterval == 0 {
-					if err := canceled(ctx); err != nil {
-						return err
-					}
-				}
-				if bhashes[j-1] != h {
-					continue // bucket collision: different hash entirely
-				}
-				rr := brows[j-1]
-				if !rr[ri].EqualKey(v) {
-					continue // hash collision, not an actual match
-				}
-				out.Rows = append(out.Rows, arena.concat(lr, rr))
-			}
-		}
-	}
-	return nil
-}
-
-// Distinct removes duplicate rows, preserving first-seen order.  Duplicate
-// detection is hash-based (Hash64/EqualKey) instead of canonical-key strings.
-func Distinct(ctx context.Context, rel *Relation, stats *Stats) (*Relation, error) {
-	if err := canceled(ctx); err != nil {
-		return nil, err
-	}
-	out := NewRelation(rel.Name, rel.Columns)
-	seen := NewTupleSet(len(rel.Rows))
-	rows := rel.Rows
-	hashes := make([]uint64, 0, DefaultBatchSize)
-	for lo := 0; lo < len(rows); lo += DefaultBatchSize {
-		if lo > 0 {
-			if err := canceled(ctx); err != nil {
-				return nil, err
-			}
-		}
-		hi := lo + DefaultBatchSize
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		block := rows[lo:hi]
-		hashes = hashes[:0]
-		for i := range block {
-			hashes = append(hashes, block[i].Hash64())
-		}
-		for i := range block {
-			if seen.AddHashed(hashes[i], block[i]) {
-				out.Rows = append(out.Rows, block[i])
-			}
-		}
-	}
-	stats.record(OpKindDistinct, len(rel.Rows), len(out.Rows))
-	return out, nil
-}
-
 // AggFunc enumerates aggregate functions.
 type AggFunc int
 
@@ -445,30 +235,174 @@ func (f AggFunc) String() string {
 	}
 }
 
-// Aggregate computes a single-row aggregate over the relation.  COUNT ignores
-// the column (counting rows); the other functions require a numeric column
-// except MIN/MAX which also order strings.  The result relation has a single
-// column named after the aggregate.
-func Aggregate(ctx context.Context, rel *Relation, fn AggFunc, column string, stats *Stats) (*Relation, error) {
-	if err := canceled(ctx); err != nil {
-		return nil, err
+// validAggFunc rejects aggregate functions outside the supported set.
+func validAggFunc(fn AggFunc) error {
+	switch fn {
+	case AggCount, AggSum, AggAvg, AggMin, AggMax:
+		return nil
+	default:
+		return fmt.Errorf("aggregate: unsupported function %v", fn)
 	}
-	if err := validAggFunc(fn); err != nil {
-		return nil, err
+}
+
+// aggOutputColumn names the single result column of an aggregate.
+func aggOutputColumn(fn AggFunc, column string) string {
+	if column != "" {
+		return fn.String() + "(" + column + ")"
 	}
-	idx := -1
-	if fn != AggCount {
-		idx = rel.ColumnIndex(column)
-		if idx < 0 {
-			return nil, fmt.Errorf("aggregate %s: column %q not found in %v", fn, column, rel.Columns)
+	return fn.String()
+}
+
+// aggAccumulator folds rows into a single aggregate value for batchAgg: the
+// COUNT/SUM/AVG/MIN/MAX semantics — accumulation order, error strings, the
+// NULL-on-empty rules — exist exactly once.
+type aggAccumulator struct {
+	fn     AggFunc
+	idx    int    // value column position; -1 for COUNT
+	column string // display name, for error messages
+	n      int
+	sum    float64
+	numIn  int
+	best   Value
+}
+
+// addAll folds a dense row slice (a full batch) with per-function loops.  The
+// hot loops accumulate into locals, read values through a pointer and run in
+// checkInterval blocks so the inner loop carries no per-row cancellation
+// arithmetic: a per-row field store, a 48-byte Value copy or a modulo per row
+// are all measurable at scan speed.
+func (a *aggAccumulator) addAll(ctx context.Context, rows []Tuple) error {
+	switch a.fn {
+	case AggCount:
+		a.n += len(rows)
+	case AggSum, AggAvg:
+		idx := a.idx
+		sum := a.sum
+		for lo := 0; lo < len(rows); lo += checkInterval {
+			if lo > 0 {
+				if err := canceled(ctx); err != nil {
+					a.sum = sum
+					return err
+				}
+			}
+			hi := lo + checkInterval
+			if hi > len(rows) {
+				hi = len(rows)
+			}
+			for i := lo; i < hi; i++ {
+				v := &rows[i][idx]
+				switch v.Kind {
+				case KindFloat:
+					sum += v.Float
+				case KindInt:
+					sum += float64(v.Int)
+				default:
+					f, ok := v.AsFloat()
+					if !ok {
+						a.sum = sum
+						a.n += i + 1
+						return fmt.Errorf("aggregate %s: non-numeric value %v in column %q", a.fn, *v, a.column)
+					}
+					sum += f
+				}
+			}
 		}
+		a.sum = sum
+		a.n += len(rows)
+		a.numIn += len(rows)
+	case AggMin, AggMax:
+		idx := a.idx
+		for lo := 0; lo < len(rows); lo += checkInterval {
+			if lo > 0 {
+				if err := canceled(ctx); err != nil {
+					return err
+				}
+			}
+			hi := lo + checkInterval
+			if hi > len(rows) {
+				hi = len(rows)
+			}
+			for i := lo; i < hi; i++ {
+				v := rows[i][idx]
+				if a.n == 0 && i == 0 {
+					a.best = v
+				} else if cmp := v.Compare(a.best); (a.fn == AggMin && cmp < 0) || (a.fn == AggMax && cmp > 0) {
+					a.best = v
+				}
+			}
+		}
+		a.n += len(rows)
 	}
-	acc := aggAccumulator{fn: fn, idx: idx, column: column}
-	if err := acc.addAll(ctx, rel.Rows); err != nil {
-		return nil, err
+	return nil
+}
+
+// addSel folds the live rows of one batch: the selection vector indexes into
+// rows exactly as the batch operators produced it, so accumulation order —
+// and therefore float summation — is identical to feeding the selected rows
+// one at a time.  A nil selection is the full batch (addAll).  Selection
+// vectors are bounded by the batch size, so the caller's per-batch
+// cancellation check keeps the selected path prompt; the full-batch path
+// re-checks per block in case the configured batch size is huge.
+func (a *aggAccumulator) addSel(ctx context.Context, rows []Tuple, sel []int32) error {
+	if sel == nil {
+		return a.addAll(ctx, rows)
 	}
-	out := NewRelation(rel.Name, []string{aggOutputColumn(fn, column)})
-	out.Rows = append(out.Rows, acc.result())
-	stats.record(OpKindAggregate, len(rel.Rows), 1)
-	return out, nil
+	switch a.fn {
+	case AggCount:
+		a.n += len(sel)
+	case AggSum, AggAvg:
+		idx := a.idx
+		sum := a.sum
+		for k, i := range sel {
+			v := &rows[i][idx]
+			switch v.Kind {
+			case KindFloat:
+				sum += v.Float
+			case KindInt:
+				sum += float64(v.Int)
+			default:
+				f, ok := v.AsFloat()
+				if !ok {
+					a.sum = sum
+					a.n += k + 1
+					return fmt.Errorf("aggregate %s: non-numeric value %v in column %q", a.fn, *v, a.column)
+				}
+				sum += f
+			}
+		}
+		a.sum = sum
+		a.n += len(sel)
+		a.numIn += len(sel)
+	case AggMin, AggMax:
+		idx := a.idx
+		for k, i := range sel {
+			v := rows[i][idx]
+			if a.n == 0 && k == 0 {
+				a.best = v
+			} else if cmp := v.Compare(a.best); (a.fn == AggMin && cmp < 0) || (a.fn == AggMax && cmp > 0) {
+				a.best = v
+			}
+		}
+		a.n += len(sel)
+	}
+	return nil
+}
+
+func (a *aggAccumulator) result() Tuple {
+	switch a.fn {
+	case AggCount:
+		return Tuple{I(int64(a.n))}
+	case AggSum:
+		return Tuple{F(a.sum)}
+	case AggAvg:
+		if a.numIn == 0 {
+			return Tuple{Null()}
+		}
+		return Tuple{F(a.sum / float64(a.numIn))}
+	default: // AggMin, AggMax
+		if a.n == 0 {
+			return Tuple{Null()}
+		}
+		return Tuple{a.best}
+	}
 }

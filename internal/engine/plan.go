@@ -169,22 +169,21 @@ type Executor struct {
 	Cache *PlanCache
 	// Indexes is the shared base-relation index subsystem (usually the
 	// instance's own, DB.Indexes()).  When non-nil, plan compilation serves
-	// constant-equality selections directly above a scan from a per-column
-	// hash index, and reuses the same index as a hash join's build table when
-	// the build side is a bare or constant-filtered scan.  Answers are
-	// bit-identical with or without it.  nil disables index use.
+	// constant-equality selections directly above an untouched base relation
+	// from a per-column hash index, and reuses the same index as a hash
+	// join's build table when the build side is a bare or constant-filtered
+	// base relation.  Answers are bit-identical with or without it.  nil
+	// disables index use.
 	Indexes *IndexCache
-	// Batch selects the execution pipeline for uncached plans: 0 runs the
-	// vectorized batch pipeline at DefaultBatchSize, a positive value runs it
-	// at that many rows per batch, and a negative value falls back to the
-	// tuple-at-a-time RowSource pipeline.  Purely a physical knob — answers
-	// and logical operator statistics are identical across all settings.
+	// Batch is the number of rows per vector batch; 0 (or any value below 1)
+	// selects DefaultBatchSize.  Purely a physical knob — answers and logical
+	// operator statistics are identical at every setting.
 	Batch int
-	// Workers caps the parallelism of partitioned hash-join builds in the
-	// batch pipeline.  Values below 2 (including 0, the default) build
-	// sequentially; builds are partitioned only when the build side is large
-	// enough to amortize the fan-out.  The built structure — and therefore
-	// every answer — is byte-identical to a sequential build.
+	// Workers caps the parallelism of partitioned hash-join builds.  Values
+	// below 2 (including 0, the default) build sequentially; builds are
+	// partitioned only when the build side is large enough to amortize the
+	// fan-out.  The built structure — and therefore every answer — is
+	// byte-identical to a sequential build.
 	Workers int
 }
 
@@ -212,14 +211,13 @@ func (e *Executor) Execute(p Plan) (*Relation, error) {
 // periodically and the execution stops promptly with the context's error once
 // it is cancelled or its deadline passes.
 //
-// Without a cache the plan is compiled into a streaming pipeline — the
-// vectorized batch pipeline by default (see Batch), or the tuple-at-a-time
-// RowSource pipeline when Batch is negative.  Either way, scan→select→project
-// chains are fused and produce no intermediate Relations; only pipeline
-// breakers (join build side, product inner side, distinct, aggregate) buffer
-// rows, and the root materializes the result.  With a cache every node still
-// materializes — the MQO substrate shares results per sub-plan signature,
-// which requires each signature's Relation to exist.
+// Without a cache the plan is compiled into one batch pipeline:
+// scan→select→project chains are fused and produce no intermediate
+// Relations; only pipeline breakers (join build side, product inner side,
+// distinct, aggregate) buffer rows, and the root materializes the result.
+// With a cache every node materializes — the MQO substrate shares results per
+// sub-plan signature, which requires each signature's Relation to exist — but
+// each node still runs through the same batch operators.
 func (e *Executor) ExecuteContext(ctx context.Context, p Plan) (*Relation, error) {
 	if p == nil {
 		return nil, fmt.Errorf("execute: nil plan")
@@ -236,13 +234,12 @@ func (e *Executor) ExecuteContext(ctx context.Context, p Plan) (*Relation, error
 		}
 		return n.Rel, nil
 	}
-	if e.Batch < 0 {
-		src, err := e.compile(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		return Materialize(src)
-	}
+	return e.executeBatch(ctx, p)
+}
+
+// executeBatch compiles the plan into a batch pipeline and materializes its
+// output.
+func (e *Executor) executeBatch(ctx context.Context, p Plan) (*Relation, error) {
 	if n, ok := p.(*ProjectPlan); ok {
 		// Root projection — the shape every reformulated query ends in —
 		// materializes fused: the child pipeline is drained to row headers and
@@ -266,53 +263,40 @@ func (e *Executor) executeBatchProjectRoot(ctx context.Context, n *ProjectPlan) 
 	if err != nil {
 		return nil, err
 	}
-	cols := child.Columns()
-	idx := make([]int, len(n.Columns))
-	outCols := make([]string, len(n.Columns))
-	for i, c := range n.Columns {
+	idx, outCols, err := projectColumns(child.Columns(), n.Columns)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := drainBatches(child)
+	if err != nil {
+		return nil, err
+	}
+	// The drained headers are private to this call and are rewritten in
+	// place: a contiguous projection then allocates nothing at all, any other
+	// only its value slab.
+	if err := projectRows(ctx, rows, idx, rows, nil); err != nil {
+		return nil, err
+	}
+	out := NewRelation(child.Name(), outCols)
+	out.Rows = rows
+	e.Stats.record(OpKindProject, len(rows), len(rows))
+	return out, nil
+}
+
+// projectColumns resolves a projection's column list against the input
+// layout.
+func projectColumns(cols, want []string) ([]int, []string, error) {
+	idx := make([]int, len(want))
+	outCols := make([]string, len(want))
+	for i, c := range want {
 		j := lookupColumn(cols, c)
 		if j < 0 {
-			return nil, fmt.Errorf("project: column %q not found in %v", c, cols)
+			return nil, nil, fmt.Errorf("project: column %q not found in %v", c, cols)
 		}
 		idx[i] = j
 		outCols[i] = cols[j]
 	}
-	var rows []Tuple
-	if err := drainBatches(child, &rows); err != nil {
-		return nil, err
-	}
-	out := NewRelation(child.Name(), outCols)
-	if len(rows) > 0 && contiguousIdx(idx) {
-		// The drained headers are private to this call, so a contiguous
-		// projection allocates nothing at all: each header is rewritten in
-		// place into its capacity-clamped column window.
-		j0, j1 := idx[0], idx[0]+len(idx)
-		for lo := 0; lo < len(rows); lo += checkInterval {
-			if lo > 0 {
-				if err := canceled(ctx); err != nil {
-					return nil, err
-				}
-			}
-			hi := lo + checkInterval
-			if hi > len(rows) {
-				hi = len(rows)
-			}
-			for i := lo; i < hi; i++ {
-				rows[i] = rows[i][j0:j1:j1]
-			}
-		}
-		out.Rows = rows
-	} else {
-		// Non-contiguous projections still reuse the drained header slice as
-		// the destination: projectRows rewrites each header in place after
-		// gathering its values, so only the value slab is allocated.
-		out.Rows = rows
-		if err := projectRows(ctx, rows, idx, &out.Rows); err != nil {
-			return nil, err
-		}
-	}
-	e.Stats.record(OpKindProject, len(rows), len(out.Rows))
-	return out, nil
+	return idx, outCols, nil
 }
 
 // batchSize resolves the executor's configured batch size.
@@ -323,131 +307,45 @@ func (e *Executor) batchSize() int {
 	return DefaultBatchSize
 }
 
-// compile lowers a plan node into a streaming row source.  Column references
-// are resolved once here, so the per-row path does no name lookups.
-func (e *Executor) compile(ctx context.Context, p Plan) (RowSource, error) {
-	switch n := p.(type) {
-	case *ScanPlan:
-		base := e.DB.Relation(n.Relation)
-		if base == nil {
-			return nil, fmt.Errorf("scan: unknown relation %q", n.Relation)
-		}
-		alias := n.Alias
-		if alias == "" {
-			alias = n.Relation
-		}
-		return newScanSource(ctx, base, alias, e.Stats), nil
-	case *MaterialPlan:
-		if n.Rel == nil {
-			return nil, fmt.Errorf("materialized plan %q has nil relation", n.Label)
-		}
-		return newMatSource(ctx, n.Rel.Name, n.Rel.Columns, n.Rel.Rows), nil
-	case *SelectPlan:
-		if e.Indexes != nil {
-			src, ok, err := e.compileIndexedSelect(ctx, n)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				return src, nil
-			}
-		}
-		child, err := e.compile(ctx, n.Child)
-		if err != nil {
-			return nil, err
-		}
-		cols := child.Columns()
-		bp, err := bindPredicate(n.Pred, func(name string) int { return lookupColumn(cols, name) }, cols)
-		if err != nil {
-			return nil, err
-		}
-		return &filterSource{ctx: ctx, src: child, pred: bp, stats: e.Stats}, nil
-	case *ProjectPlan:
-		child, err := e.compile(ctx, n.Child)
-		if err != nil {
-			return nil, err
-		}
-		cols := child.Columns()
-		idx := make([]int, len(n.Columns))
-		outCols := make([]string, len(n.Columns))
-		for i, c := range n.Columns {
-			j := lookupColumn(cols, c)
-			if j < 0 {
-				return nil, fmt.Errorf("project: column %q not found in %v", c, cols)
-			}
-			idx[i] = j
-			outCols[i] = cols[j]
-		}
-		return &projectSource{ctx: ctx, src: child, name: child.Name(), cols: outCols, idx: idx, stats: e.Stats}, nil
-	case *ProductPlan:
-		left, err := e.compile(ctx, n.Left)
-		if err != nil {
-			return nil, err
-		}
-		right, err := e.compile(ctx, n.Right)
-		if err != nil {
-			return nil, err
-		}
-		return newProductSource(ctx, left, right, e.Stats), nil
-	case *JoinPlan:
-		left, err := e.compile(ctx, n.Left)
-		if err != nil {
-			return nil, err
-		}
-		if e.Indexes != nil {
-			src, ok, err := e.compileSharedJoin(ctx, n, left)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				return src, nil
-			}
-		}
-		right, err := e.compile(ctx, n.Right)
-		if err != nil {
-			return nil, err
-		}
-		li := lookupColumn(left.Columns(), n.LeftCol)
-		if li < 0 {
-			return nil, fmt.Errorf("join: column %q not found in %v", n.LeftCol, left.Columns())
-		}
-		ri := lookupColumn(right.Columns(), n.RightCol)
-		if ri < 0 {
-			return nil, fmt.Errorf("join: column %q not found in %v", n.RightCol, right.Columns())
-		}
-		return newJoinSource(ctx, left, right, li, ri, e.Stats), nil
-	case *AggregatePlan:
-		child, err := e.compile(ctx, n.Child)
-		if err != nil {
-			return nil, err
-		}
-		return newAggSource(ctx, child, n.Func, n.Column, e.Stats)
-	case *DistinctPlan:
-		child, err := e.compile(ctx, n.Child)
-		if err != nil {
-			return nil, err
-		}
-		return newDistinctSource(ctx, child, e.Stats), nil
-	default:
-		return nil, fmt.Errorf("execute: unsupported plan node %T", p)
+// scanBase resolves a scan's base relation and alias.
+func (e *Executor) scanBase(n *ScanPlan) (*Relation, string, error) {
+	base := e.DB.Relation(n.Relation)
+	if base == nil {
+		return nil, "", fmt.Errorf("scan: unknown relation %q", n.Relation)
+	}
+	alias := n.Alias
+	if alias == "" {
+		alias = n.Relation
+	}
+	return base, alias, nil
+}
+
+// materialScan windows an in-memory relation into batches without recording
+// a scan.
+func (e *Executor) materialScan(ctx context.Context, rel *Relation) *batchScan {
+	return &batchScan{
+		ctx: ctx, name: rel.Name, cols: rel.Columns,
+		rows: rel.Rows, size: e.batchSize(), stats: e.Stats,
 	}
 }
 
-// compileBatch lowers a plan node into the vectorized batch pipeline.  It
-// mirrors compile node for node — same column resolution order, same error
-// messages, same index-serving decisions — so the two pipelines accept exactly
-// the same plans and produce bit-identical results and operator statistics.
-// Index-served selections stay row-at-a-time behind the rowsToBatches adapter.
+// compileBatch lowers a plan node into the batch pipeline.  Column references
+// are resolved once here, so the per-row path does no name lookups.
 func (e *Executor) compileBatch(ctx context.Context, p Plan) (BatchSource, error) {
 	switch n := p.(type) {
 	case *ScanPlan:
-		base := e.DB.Relation(n.Relation)
-		if base == nil {
-			return nil, fmt.Errorf("scan: unknown relation %q", n.Relation)
+		if e.Cache != nil {
+			// A cached executor shares every scan through its cache, which
+			// records the scan when it first computes it.
+			rel, err := e.ExecuteContext(ctx, n)
+			if err != nil {
+				return nil, err
+			}
+			return e.materialScan(ctx, rel), nil
 		}
-		alias := n.Alias
-		if alias == "" {
-			alias = n.Relation
+		base, alias, err := e.scanBase(n)
+		if err != nil {
+			return nil, err
 		}
 		return &batchScan{
 			ctx: ctx, name: alias, cols: qualifiedScanColumns(base, alias),
@@ -457,45 +355,24 @@ func (e *Executor) compileBatch(ctx context.Context, p Plan) (BatchSource, error
 		if n.Rel == nil {
 			return nil, fmt.Errorf("materialized plan %q has nil relation", n.Label)
 		}
-		return &batchScan{
-			ctx: ctx, name: n.Rel.Name, cols: n.Rel.Columns,
-			rows: n.Rel.Rows, size: e.batchSize(), stats: e.Stats,
-		}, nil
+		return e.materialScan(ctx, n.Rel), nil
 	case *SelectPlan:
-		if e.Indexes != nil {
-			src, ok, err := e.compileIndexedSelect(ctx, n)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				return &rowsToBatches{src: src, size: e.batchSize(), stats: e.Stats}, nil
-			}
+		if src, ok, err := e.compileIndexedSelect(ctx, n); err != nil || ok {
+			return src, err
 		}
 		child, err := e.compileBatch(ctx, n.Child)
 		if err != nil {
 			return nil, err
 		}
-		cols := child.Columns()
-		vp, err := compileVecPredicate(n.Pred, func(name string) int { return lookupColumn(cols, name) }, cols)
-		if err != nil {
-			return nil, err
-		}
-		return &batchFilter{ctx: ctx, src: child, pred: vp, stats: e.Stats}, nil
+		return e.filter(ctx, child, n.Pred)
 	case *ProjectPlan:
 		child, err := e.compileBatch(ctx, n.Child)
 		if err != nil {
 			return nil, err
 		}
-		cols := child.Columns()
-		idx := make([]int, len(n.Columns))
-		outCols := make([]string, len(n.Columns))
-		for i, c := range n.Columns {
-			j := lookupColumn(cols, c)
-			if j < 0 {
-				return nil, fmt.Errorf("project: column %q not found in %v", c, cols)
-			}
-			idx[i] = j
-			outCols[i] = cols[j]
+		idx, outCols, err := projectColumns(child.Columns(), n.Columns)
+		if err != nil {
+			return nil, err
 		}
 		return &batchProject{ctx: ctx, src: child, name: child.Name(), cols: outCols, idx: idx, stats: e.Stats}, nil
 	case *ProductPlan:
@@ -507,12 +384,9 @@ func (e *Executor) compileBatch(ctx context.Context, p Plan) (BatchSource, error
 		if err != nil {
 			return nil, err
 		}
-		cols := make([]string, 0, len(left.Columns())+len(right.Columns()))
-		cols = append(cols, left.Columns()...)
-		cols = append(cols, right.Columns()...)
 		return &batchProduct{
 			ctx: ctx, left: left, right: right,
-			name: left.Name() + "x" + right.Name(), cols: cols,
+			name: left.Name() + "x" + right.Name(), cols: concatColumns(left.Columns(), right.Columns()),
 			size: e.batchSize(), stats: e.Stats,
 		}, nil
 	case *JoinPlan:
@@ -520,14 +394,8 @@ func (e *Executor) compileBatch(ctx context.Context, p Plan) (BatchSource, error
 		if err != nil {
 			return nil, err
 		}
-		if e.Indexes != nil {
-			src, ok, err := e.compileBatchSharedJoin(ctx, n, left)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				return src, nil
-			}
+		if src, ok, err := e.compileSharedJoin(ctx, n, left); err != nil || ok {
+			return src, err
 		}
 		right, err := e.compileBatch(ctx, n.Right)
 		if err != nil {
@@ -541,12 +409,9 @@ func (e *Executor) compileBatch(ctx context.Context, p Plan) (BatchSource, error
 		if ri < 0 {
 			return nil, fmt.Errorf("join: column %q not found in %v", n.RightCol, right.Columns())
 		}
-		cols := make([]string, 0, len(left.Columns())+len(right.Columns()))
-		cols = append(cols, left.Columns()...)
-		cols = append(cols, right.Columns()...)
 		return &batchJoin{
 			ctx: ctx, left: left, right: right, li: li, ri: ri,
-			name: left.Name() + "⋈" + right.Name(), cols: cols,
+			name: left.Name() + "⋈" + right.Name(), cols: concatColumns(left.Columns(), right.Columns()),
 			size: e.batchSize(), workers: e.Workers, stats: e.Stats,
 		}, nil
 	case *AggregatePlan:
@@ -560,25 +425,60 @@ func (e *Executor) compileBatch(ctx context.Context, p Plan) (BatchSource, error
 		if err != nil {
 			return nil, err
 		}
-		return &batchDistinct{ctx: ctx, src: child, seen: NewTupleSet(64), stats: e.Stats}, nil
+		return &batchDistinct{ctx: ctx, src: child, seen: NewTupleSet(distinctSizeHint(child)), stats: e.Stats}, nil
 	default:
 		return nil, fmt.Errorf("execute: unsupported plan node %T", p)
 	}
 }
 
-// executeMaterialized evaluates the plan node by node, materializing every
-// intermediate result.  It is the execution mode of cached (MQO) executors,
-// where each sub-plan signature's result must exist to be shared.
+// filter wraps the source in a selection by the predicate.
+func (e *Executor) filter(ctx context.Context, src BatchSource, pred Predicate) (BatchSource, error) {
+	cols := src.Columns()
+	vp, err := compileVecPredicate(pred, func(name string) int { return lookupColumn(cols, name) }, cols)
+	if err != nil {
+		return nil, err
+	}
+	return &batchFilter{ctx: ctx, src: src, pred: vp, stats: e.Stats}, nil
+}
+
+// distinctSizeHint sizes a duplicate-elimination set: exactly for a leaf
+// input, whose row count bounds the distinct rows, and small otherwise.
+func distinctSizeHint(src BatchSource) int {
+	if s, ok := src.(*batchScan); ok {
+		return len(s.rows)
+	}
+	return 64
+}
+
+// concatColumns is the column layout of a product or join.
+func concatColumns(left, right []string) []string {
+	cols := make([]string, 0, len(left)+len(right))
+	cols = append(cols, left...)
+	return append(cols, right...)
+}
+
+// executeMaterialized evaluates one plan node of a cached (MQO) executor,
+// where each sub-plan signature's result must exist to be shared: the node's
+// children are resolved through the cache into MaterialPlan leaves, and the
+// node itself runs through compileBatch.  Scan children stay plan leaves —
+// compileBatch reads them through the cache unless the shared index serves
+// them — so an index-served scan is never materialized or recorded.
 func (e *Executor) executeMaterialized(ctx context.Context, p Plan) (*Relation, error) {
+	var err error
+	leaf := func(c Plan) Plan {
+		if _, ok := c.(*ScanPlan); ok || err != nil {
+			return c
+		}
+		var rel *Relation
+		rel, err = e.ExecuteContext(ctx, c)
+		return &MaterialPlan{Rel: rel}
+	}
+	var node Plan
 	switch n := p.(type) {
 	case *ScanPlan:
-		base := e.DB.Relation(n.Relation)
-		if base == nil {
-			return nil, fmt.Errorf("scan: unknown relation %q", n.Relation)
-		}
-		alias := n.Alias
-		if alias == "" {
-			alias = n.Relation
+		base, alias, serr := e.scanBase(n)
+		if serr != nil {
+			return nil, serr
 		}
 		e.Stats.record(OpKindScan, 0, len(base.Rows))
 		return base.QualifyColumns(alias), nil
@@ -588,80 +488,28 @@ func (e *Executor) executeMaterialized(ctx context.Context, p Plan) (*Relation, 
 		}
 		return n.Rel, nil
 	case *SelectPlan:
-		if e.Indexes != nil {
-			if scan, ok := n.Child.(*ScanPlan); ok {
-				rel, served, err := e.indexedSelectRel(ctx, n, scan)
-				if err != nil {
-					return nil, err
-				}
-				if served {
-					return rel, nil
-				}
-			}
-		}
-		child, err := e.ExecuteContext(ctx, n.Child)
-		if err != nil {
-			return nil, err
-		}
-		return Select(ctx, child, n.Pred, e.Stats)
+		node = &SelectPlan{Pred: n.Pred, Child: leaf(n.Child)}
 	case *ProjectPlan:
-		child, err := e.ExecuteContext(ctx, n.Child)
-		if err != nil {
-			return nil, err
-		}
-		return Project(ctx, child, n.Columns, e.Stats)
+		node = &ProjectPlan{Columns: n.Columns, Child: leaf(n.Child)}
 	case *ProductPlan:
-		left, err := e.ExecuteContext(ctx, n.Left)
-		if err != nil {
-			return nil, err
-		}
-		right, err := e.ExecuteContext(ctx, n.Right)
-		if err != nil {
-			return nil, err
-		}
-		return Product(ctx, left, right, e.Stats)
+		node = &ProductPlan{Left: leaf(n.Left), Right: leaf(n.Right)}
 	case *JoinPlan:
-		left, err := e.ExecuteContext(ctx, n.Left)
-		if err != nil {
-			return nil, err
-		}
-		if e.Indexes != nil {
-			if scan, ok := n.Right.(*ScanPlan); ok {
-				if base := e.DB.Relation(scan.Relation); base != nil {
-					// The build side is a bare scan: attach the shared index
-					// instead of materializing and hashing the scan.
-					alias := scan.Alias
-					if alias == "" {
-						alias = scan.Relation
-					}
-					return IndexedHashJoin(ctx, left, base.QualifyColumns(alias), n.LeftCol, n.RightCol, e.Stats, e.Indexes)
-				}
-			}
-		}
-		right, err := e.ExecuteContext(ctx, n.Right)
-		if err != nil {
-			return nil, err
-		}
-		return hashJoin(ctx, left, right, n.LeftCol, n.RightCol, e.Stats, nil, e.Workers)
+		node = &JoinPlan{LeftCol: n.LeftCol, RightCol: n.RightCol, Left: leaf(n.Left), Right: leaf(n.Right)}
 	case *AggregatePlan:
-		child, err := e.ExecuteContext(ctx, n.Child)
-		if err != nil {
-			return nil, err
-		}
-		return Aggregate(ctx, child, n.Func, n.Column, e.Stats)
+		node = &AggregatePlan{Func: n.Func, Column: n.Column, Child: leaf(n.Child)}
 	case *DistinctPlan:
-		child, err := e.ExecuteContext(ctx, n.Child)
-		if err != nil {
-			return nil, err
-		}
-		return Distinct(ctx, child, e.Stats)
+		node = &DistinctPlan{Child: leaf(n.Child)}
 	default:
 		return nil, fmt.Errorf("execute: unsupported plan node %T", p)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return e.executeBatch(ctx, node)
 }
 
 // qualifiedScanColumns returns the alias-qualified output columns of a scan,
-// exactly as newScanSource and QualifyColumns name them.
+// exactly as QualifyColumns names them.
 func qualifiedScanColumns(base *Relation, alias string) []string {
 	cols := make([]string, len(base.Columns))
 	for i, c := range base.Columns {
@@ -670,15 +518,42 @@ func qualifiedScanColumns(base *Relation, alias string) []string {
 	return cols
 }
 
-// constFilterStack unwraps a chain of constant-only selections down to a scan,
-// returning the scan and the per-level predicates in bottom-to-top order.
+// baseLeaf is the one place that decides whether a plan leaf reads an
+// untouched base relation the shared index may serve, returning the base and
+// the leaf's name and column layout.  A scan names its base directly; a
+// MaterialPlan qualifies when its rows are a base relation's own row list (a
+// materialized scan or an untouched o-sharing fragment).
+func (e *Executor) baseLeaf(p Plan) (*Relation, string, []string, bool) {
+	if e.Indexes == nil {
+		return nil, "", nil, false
+	}
+	switch n := p.(type) {
+	case *ScanPlan:
+		base, alias, err := e.scanBase(n)
+		if err != nil {
+			return nil, "", nil, false // the plain compiler reports the unknown relation
+		}
+		return base, alias, qualifiedScanColumns(base, alias), true
+	case *MaterialPlan:
+		if n.Rel == nil {
+			return nil, "", nil, false
+		}
+		if base, ok := e.Indexes.baseForRows(n.Rel.Rows); ok {
+			return base, n.Rel.Name, n.Rel.Columns, true
+		}
+	}
+	return nil, "", nil, false
+}
+
+// constFilterStack unwraps a chain of constant-only selections down to a leaf,
+// returning the leaf and the per-level predicates in bottom-to-top order.
 // ok=false for any other shape (a non-constant predicate anywhere in the
-// chain, or a non-scan leaf).
-func constFilterStack(p Plan) (*ScanPlan, []Predicate, bool) {
+// chain, or a non-leaf below it).
+func constFilterStack(p Plan) (Plan, []Predicate, bool) {
 	var preds []Predicate // collected top to bottom
 	for {
 		switch n := p.(type) {
-		case *ScanPlan:
+		case *ScanPlan, *MaterialPlan:
 			for i, j := 0, len(preds)-1; i < j; i, j = i+1, j-1 {
 				preds[i], preds[j] = preds[j], preds[i]
 			}
@@ -695,27 +570,23 @@ func constFilterStack(p Plan) (*ScanPlan, []Predicate, bool) {
 	}
 }
 
-// compileIndexedSelect lowers a stack of constant selections directly above a
-// scan into an index probe: the bottom-most constant equality whose column
-// resolves becomes the probe, and every other comparison is evaluated as a
-// residual per matched row.  ok=false hands the plan back to the plain
-// compiler (wrong shape, or no equality to probe with).  Whether the probe is
-// actually answerable from the index depends on the column's content and is
-// decided when the source starts; if not, it runs the plain pipeline itself.
-func (e *Executor) compileIndexedSelect(ctx context.Context, top *SelectPlan) (RowSource, bool, error) {
-	scan, stack, ok := constFilterStack(top)
+// compileIndexedSelect lowers a stack of constant selections directly above
+// an untouched base relation into an index probe: the bottom-most constant
+// equality whose column resolves becomes the probe, and every other
+// comparison is evaluated as a residual per matched row.  ok=false hands the
+// plan back to the plain compiler (wrong shape, or no equality to probe
+// with).  Whether the probe is actually answerable from the index depends on
+// the column's content and is decided when the source starts; if not, it runs
+// the plain pipeline itself.
+func (e *Executor) compileIndexedSelect(ctx context.Context, top *SelectPlan) (BatchSource, bool, error) {
+	leaf, stack, ok := constFilterStack(top)
 	if !ok {
 		return nil, false, nil
 	}
-	base := e.DB.Relation(scan.Relation)
-	if base == nil {
-		return nil, false, nil // the plain compiler reports the unknown relation
+	base, name, cols, ok := e.baseLeaf(leaf)
+	if !ok {
+		return nil, false, nil
 	}
-	alias := scan.Alias
-	if alias == "" {
-		alias = scan.Relation
-	}
-	cols := qualifiedScanColumns(base, alias)
 	resolve := func(name string) int { return lookupColumn(cols, name) }
 
 	// Pick the probe: the bottom-most constant equality with a resolvable
@@ -742,14 +613,11 @@ func (e *Executor) compileIndexedSelect(ctx context.Context, top *SelectPlan) (R
 	}
 
 	levels := make([]selectLevel, len(stack))
-	fulls := make([]boundPredicate, len(stack))
 	var probeVal Value
 	for li, pred := range stack {
-		full, err := bindPredicate(pred, resolve, cols)
-		if err != nil {
+		if _, err := bindPredicate(pred, resolve, cols); err != nil {
 			return nil, false, err
 		}
-		fulls[li] = full
 		residual := pred
 		if li == probeLevel {
 			consts, _ := constPreds(pred)
@@ -764,44 +632,37 @@ func (e *Executor) compileIndexedSelect(ctx context.Context, top *SelectPlan) (R
 			levels[li].residual = bp
 		}
 	}
-	return &indexScanSource{
-		ctx: ctx, cache: e.Indexes, base: base, alias: alias, cols: cols,
-		stats: e.Stats, probeCol: probeCol, probeVal: probeVal,
-		levels: levels, fulls: fulls,
+	plain := func() (BatchSource, error) {
+		src, err := e.compileBatch(ctx, leaf)
+		for _, pred := range stack {
+			if err != nil {
+				break
+			}
+			src, err = e.filter(ctx, src, pred)
+		}
+		return src, err
+	}
+	return &batchIndexScan{
+		ctx: ctx, cache: e.Indexes, base: base, name: name, cols: cols,
+		size: e.batchSize(), stats: e.Stats, probeCol: probeCol, probeVal: probeVal,
+		levels: levels, plain: plain,
 	}, true, nil
 }
 
-// sharedJoinParts is the bound shape of an index-served equi-join, shared by
-// the row and batch compilers.  The levels are freshly constructed per bind —
-// they carry per-execution row counts and must never be shared between
-// pipelines.
-type sharedJoinParts struct {
-	base   *Relation
-	alias  string
-	levels []selectLevel
-	li, ri int
-	cols   []string
-}
-
-// bindSharedJoin recognizes an equi-join whose build (right) side is a bare or
-// constant-filtered scan of a base relation and binds everything an
-// index-served join needs: the build-side constant filters as per-candidate
-// levels, the key column positions, and the joined column layout.  ok=false
-// hands the join back to the plain compiler.
-func (e *Executor) bindSharedJoin(n *JoinPlan, lcols []string) (*sharedJoinParts, bool, error) {
-	scan, stack, ok := constFilterStack(n.Right)
+// compileSharedJoin lowers an equi-join whose build (right) side is a bare or
+// constant-filtered untouched base relation into a join over the shared
+// per-column index: the build table is the instance's index and the
+// build-side constant filters run per probed candidate.  ok=false hands the
+// join back to the plain compiler.
+func (e *Executor) compileSharedJoin(ctx context.Context, n *JoinPlan, left BatchSource) (BatchSource, bool, error) {
+	leaf, stack, ok := constFilterStack(n.Right)
 	if !ok {
 		return nil, false, nil
 	}
-	base := e.DB.Relation(scan.Relation)
-	if base == nil {
-		return nil, false, nil // the plain compiler reports the unknown relation
+	base, name, rcols, ok := e.baseLeaf(leaf)
+	if !ok {
+		return nil, false, nil
 	}
-	alias := scan.Alias
-	if alias == "" {
-		alias = scan.Relation
-	}
-	rcols := qualifiedScanColumns(base, alias)
 	levels := make([]selectLevel, len(stack))
 	for i, pred := range stack {
 		bp, err := bindPredicate(pred, func(name string) int { return lookupColumn(rcols, name) }, rcols)
@@ -810,6 +671,7 @@ func (e *Executor) bindSharedJoin(n *JoinPlan, lcols []string) (*sharedJoinParts
 		}
 		levels[i].residual = bp
 	}
+	lcols := left.Columns()
 	li := lookupColumn(lcols, n.LeftCol)
 	if li < 0 {
 		return nil, false, fmt.Errorf("join: column %q not found in %v", n.LeftCol, lcols)
@@ -818,53 +680,10 @@ func (e *Executor) bindSharedJoin(n *JoinPlan, lcols []string) (*sharedJoinParts
 	if ri < 0 {
 		return nil, false, fmt.Errorf("join: column %q not found in %v", n.RightCol, rcols)
 	}
-	cols := make([]string, 0, len(lcols)+len(rcols))
-	cols = append(cols, lcols...)
-	cols = append(cols, rcols...)
-	return &sharedJoinParts{base: base, alias: alias, levels: levels, li: li, ri: ri, cols: cols}, true, nil
-}
-
-// compileSharedJoin lowers an equi-join whose build (right) side is a bare or
-// constant-filtered scan of a base relation into a join over the shared
-// per-column index: the build table is the instance's index and the build-side
-// constant filters run per probed candidate.  ok=false hands the join back to
-// the plain compiler.
-func (e *Executor) compileSharedJoin(ctx context.Context, n *JoinPlan, left RowSource) (RowSource, bool, error) {
-	parts, ok, err := e.bindSharedJoin(n, left.Columns())
-	if !ok || err != nil {
-		return nil, false, err
-	}
-	return &sharedJoinSource{
-		ctx: ctx, cache: e.Indexes, left: left, li: parts.li, base: parts.base, ri: parts.ri,
-		name: left.Name() + "⋈" + parts.alias, cols: parts.cols, stats: e.Stats, levels: parts.levels,
+	return &batchJoin{
+		ctx: ctx, left: left, li: li, ri: ri,
+		name: left.Name() + "⋈" + name, cols: concatColumns(lcols, rcols),
+		size: e.batchSize(), stats: e.Stats,
+		cache: e.Indexes, base: base, levels: levels,
 	}, true, nil
-}
-
-// compileBatchSharedJoin is compileSharedJoin's batch-pipeline twin.
-func (e *Executor) compileBatchSharedJoin(ctx context.Context, n *JoinPlan, left BatchSource) (BatchSource, bool, error) {
-	parts, ok, err := e.bindSharedJoin(n, left.Columns())
-	if !ok || err != nil {
-		return nil, false, err
-	}
-	return &batchSharedJoin{
-		ctx: ctx, cache: e.Indexes, left: left, li: parts.li, base: parts.base, ri: parts.ri,
-		name: left.Name() + "⋈" + parts.alias, cols: parts.cols, size: e.batchSize(),
-		stats: e.Stats, levels: parts.levels,
-	}, true, nil
-}
-
-// indexedSelectRel is the materialized-path twin of compileIndexedSelect, used
-// by cached (MQO) executors, which materialize per node: a constant selection
-// directly above a scan is served from the shared index without materializing
-// the scan.  served=false falls back to the plain node-by-node execution.
-func (e *Executor) indexedSelectRel(ctx context.Context, n *SelectPlan, scan *ScanPlan) (*Relation, bool, error) {
-	base := e.DB.Relation(scan.Relation)
-	if base == nil {
-		return nil, false, nil // the plain path reports the unknown relation
-	}
-	alias := scan.Alias
-	if alias == "" {
-		alias = scan.Relation
-	}
-	return e.Indexes.trySelect(ctx, base.QualifyColumns(alias), n.Pred, e.Stats)
 }

@@ -227,14 +227,13 @@ func randPlan(rng *rand.Rand) Plan {
 }
 
 // TestStreamingExecutorMatchesNaiveExecute compiles random plans through the
-// streaming pipeline — the vectorized batch pipeline at its default and at
-// adversarial batch sizes (1: every batch is a single row; 7: batches straddle
-// every operator boundary; 1024: one batch per small input), and the
-// tuple-at-a-time fallback (-1) — and requires results and statistics
+// vectorized batch pipeline at its default and at adversarial batch sizes (1:
+// every batch is a single row; 7: batches straddle every operator boundary;
+// 1024: one batch per small input) and requires results and statistics
 // identical to the retained materialize-per-operator executor at every
 // setting.
 func TestStreamingExecutorMatchesNaiveExecute(t *testing.T) {
-	batchSizes := []int{0, -1, 1, 7, 1024}
+	batchSizes := []int{0, 1, 7, 1024}
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 80; trial++ {
 		db := NewInstance("D")
@@ -283,9 +282,9 @@ func TestPipelineCancellation(t *testing.T) {
 		},
 	}
 
-	// Batch 0 = default vectorized pipeline, -1 = tuple-at-a-time fallback,
-	// 64 = cancellation must surface between small batches.
-	for _, bs := range []int{0, -1, 64} {
+	// Batch 0 = default batch size, 64 = cancellation must surface between
+	// small batches.
+	for _, bs := range []int{0, 64} {
 		cancelled, cancel := context.WithCancel(context.Background())
 		cancel()
 		ex := &Executor{DB: db, Stats: NewStats(), Batch: bs}

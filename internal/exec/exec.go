@@ -74,8 +74,8 @@ func (c *Context) WithParallelism(parallelism int) *Context {
 }
 
 // Batch returns the engine batch size the run's executors should use: 0 (the
-// default) selects the engine's own default, a positive value overrides the
-// rows-per-batch, and a negative value selects the tuple-at-a-time pipeline.
+// default) selects the engine's own default and a positive value overrides
+// the rows per batch.
 func (c *Context) Batch() int {
 	if c == nil {
 		return 0
@@ -84,7 +84,7 @@ func (c *Context) Batch() int {
 }
 
 // WithBatch returns a context sharing c's context.Context and parallelism but
-// with the given engine batch size.
+// with the given engine batch size (0 = engine default, N = rows per batch).
 func (c *Context) WithBatch(batch int) *Context {
 	nc := NewContext(c.Ctx(), c.Parallelism())
 	nc.batch = batch

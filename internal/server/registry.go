@@ -438,8 +438,14 @@ func (s *Scenario) Evaluator() *core.Evaluator {
 // WarmIndexBuilds reports how many base-relation indexes registration built.
 func (s *Scenario) WarmIndexBuilds() int { return s.warmBuilds }
 
-// NumRows returns the total row count of the source instance.
-func (s *Scenario) NumRows() int { return s.db.NumRows() }
+// NumRows returns the total row count of the source instance.  It reads
+// under the scenario's lock, which AppendRow and AppendRows hold while they
+// grow the relations.
+func (s *Scenario) NumRows() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.db.NumRows()
+}
 
 // Registry holds the scenarios a server can answer queries against.  It is
 // safe for concurrent use; registration is expected at startup but allowed at

@@ -476,3 +476,37 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestScenarioInfoConcurrentWithAppend reads the scenario listing — through
+// Metrics and GET /v1/scenarios, both of which report each scenario's row
+// count — while rows are appended.  Under -race it fails if the row count is
+// read without the scenario's lock that appends take.
+func TestScenarioInfoConcurrentWithAppend(t *testing.T) {
+	srv, sc := newTestServer(t, 40, Config{})
+	const appends = 200
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < appends; i++ {
+			if err := sc.AppendRow("S", tuple("k99", int64(i), int64(i))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		if infos := srv.Metrics().Scenarios; len(infos) != 1 {
+			t.Fatalf("metrics list %d scenarios, want 1", len(infos))
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/scenarios", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /v1/scenarios: status %d", rec.Code)
+		}
+	}
+	wg.Wait()
+	if got := sc.NumRows(); got != 40+appends {
+		t.Fatalf("rows = %d, want %d", got, 40+appends)
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"github.com/probdb/urm/internal/core"
 )
 
 // sessionFixture builds the running-example session through the public API.
@@ -23,8 +25,9 @@ func sessionFixture(t *testing.T) (*Session, MappingSet, *Instance) {
 }
 
 // TestSessionMatchesDeprecatedEvaluate pins the migration contract: the
-// session API returns answers bit-identical to the deprecated free functions,
-// for every method, with and without top-k.
+// session API returns answers bit-identical to one-shot evaluation (what the
+// removed pre-session free functions ran), for every method, with and without
+// top-k.
 func TestSessionMatchesDeprecatedEvaluate(t *testing.T) {
 	sess, maps, db := sessionFixture(t)
 	ctx := context.Background()
@@ -39,9 +42,9 @@ func TestSessionMatchesDeprecatedEvaluate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, method := range []Method{Basic, EBasic, EMQO, QSharing, OSharing} {
-		want, err := Evaluate(q, maps, db, Options{Method: method})
+		want, err := core.NewEvaluator(db, maps).Evaluate(q, Options{Method: method})
 		if err != nil {
-			t.Fatalf("%v deprecated: %v", method, err)
+			t.Fatalf("%v one-shot: %v", method, err)
 		}
 		got, err := pq.Execute(ctx, WithMethod(method))
 		if err != nil {
@@ -61,7 +64,7 @@ func TestSessionMatchesDeprecatedEvaluate(t *testing.T) {
 	}
 
 	// Top-k through options.
-	wantTop, err := EvaluateTopK(q, maps, db, 1, Options{})
+	wantTop, err := core.NewEvaluator(db, maps).EvaluateTopK(q, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

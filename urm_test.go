@@ -44,13 +44,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if r := ORatio(matching.Mappings); r <= 0 || r > 1 {
 		t.Errorf("o-ratio out of range: %g", r)
 	}
-	db := buildPeopleInstance()
-	q, err := ParseQuery("q0", target, "SELECT addr FROM Person WHERE phone = '123'")
+	sess, err := NewSession(target, buildPeopleInstance(), matching.Mappings)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
+	const text = "SELECT addr FROM Person WHERE phone = '123'"
 	for _, method := range []Method{Basic, EBasic, EMQO, QSharing, OSharing} {
-		res, err := Evaluate(q, matching.Mappings, db, Options{Method: method, Strategy: SEF})
+		res, err := sess.Execute(ctx, text, WithMethod(method), WithStrategy(SEF))
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
@@ -66,12 +67,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 		}
 	}
 	// Top-k through the facade.
-	full, err := Evaluate(q, matching.Mappings, db, Options{Method: OSharing})
+	full, err := sess.Execute(ctx, text, WithMethod(OSharing))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(full.Answers) > 0 {
-		top, err := EvaluateTopK(q, matching.Mappings, db, 1, Options{})
+		top, err := sess.Execute(ctx, text, WithTopK(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,18 +95,18 @@ func TestFacadeEvaluateContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := buildPeopleInstance()
-	q, err := ParseQuery("q0", target, "SELECT addr FROM Person WHERE phone = '123'")
+	sess, err := NewSession(target, buildPeopleInstance(), matching.Mappings)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
+	const text = "SELECT addr FROM Person WHERE phone = '123'"
 	for _, method := range []Method{Basic, EBasic, EMQO, QSharing, OSharing} {
-		seq, err := Evaluate(q, matching.Mappings, db, Options{Method: method, Parallelism: 1})
+		seq, err := sess.Execute(ctx, text, WithMethod(method), WithParallelism(1))
 		if err != nil {
 			t.Fatalf("%v sequential: %v", method, err)
 		}
-		par, err := EvaluateContext(context.Background(), q, matching.Mappings, db,
-			Options{Method: method, Parallelism: 4})
+		par, err := sess.Execute(ctx, text, WithMethod(method), WithParallelism(4))
 		if err != nil {
 			t.Fatalf("%v parallel: %v", method, err)
 		}
@@ -121,11 +122,11 @@ func TestFacadeEvaluateContext(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := EvaluateContext(cancelled, q, matching.Mappings, db, Options{Method: QSharing}); !errors.Is(err, context.Canceled) {
-		t.Errorf("EvaluateContext with cancelled context: err = %v, want context.Canceled", err)
+	if _, err := sess.Execute(cancelled, text, WithMethod(QSharing)); !errors.Is(err, context.Canceled) {
+		t.Errorf("Execute with cancelled context: err = %v, want context.Canceled", err)
 	}
-	if _, err := EvaluateTopKContext(cancelled, q, matching.Mappings, db, 1, Options{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("EvaluateTopKContext with cancelled context: err = %v, want context.Canceled", err)
+	if _, err := sess.Execute(cancelled, text, WithTopK(1)); !errors.Is(err, context.Canceled) {
+		t.Errorf("top-k Execute with cancelled context: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -153,12 +154,11 @@ func TestFacadeManualMappings(t *testing.T) {
 	if m.Size() != 1 {
 		t.Error("manual mapping size wrong")
 	}
-	db := buildPeopleInstance()
-	q, err := ParseQuery("q", target, "SELECT addr FROM Person WHERE phone = '123'")
+	sess, err := NewSession(target, buildPeopleInstance(), maps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Evaluate(q, maps, db, Options{Method: OSharing})
+	res, err := sess.Execute(context.Background(), "SELECT addr FROM Person WHERE phone = '123'", WithMethod(OSharing))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,15 @@ func TestScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Evaluator().Evaluate(q, Options{Method: OSharing})
+	sess, err := s.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := sess.PrepareQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pq.Execute(context.Background(), WithMethod(OSharing))
 	if err != nil {
 		t.Fatal(err)
 	}
