@@ -236,7 +236,7 @@ func run(args []string) error {
 	}
 	srv := urm.NewServer(registry, serverCfg)
 	srv.SetRecovering(true)
-	httpServer := &http.Server{Addr: *addr, Handler: srv}
+	httpServer := newHTTPServer(*addr, srv)
 
 	errCh := make(chan error, 1)
 	go func() {
@@ -369,7 +369,7 @@ func runCoordinator(addr string, shards int, leaseEvery, timeout time.Duration, 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stopSignals()
 
-	httpServer := &http.Server{Addr: addr, Handler: coord}
+	httpServer := newHTTPServer(addr, coord)
 	errCh := make(chan error, 1)
 	go func() {
 		fmt.Printf("coordinating %d shard(s) on %s (POST /v1/query, /v1/lease; GET /v1/scenarios, /healthz, /metrics); lease interval %s\n",
@@ -397,6 +397,21 @@ func runCoordinator(addr string, shards int, leaseEvery, timeout time.Duration, 
 	}
 	fmt.Println("bye")
 	return nil
+}
+
+// The listeners' connection timeouts: a client has readHeaderTimeout to send
+// its request headers, and a kept-alive connection idle for idleTimeout is
+// closed, so slow or abandoned clients cannot hold connections open without
+// bound.  Reading bodies and writing responses is left unbounded here: a
+// query's time is bounded by the server's -timeout and its timeout_ms.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the http.Server of a node or coordinator listener.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // heartbeat keeps this node's shard lease alive: it POSTs /v1/lease to the

@@ -44,12 +44,18 @@ const (
 // non-contiguous root projection must materialize a fresh value slab
 // (~2.4 MB/op on the benchmark shape), so it is allocation-bandwidth-bound and
 // the batch pipeline can only trim constant factors around that traffic.
+// The product pairs gate column pruning: COUNT(*) over a product builds
+// zero-width tuples (18-19x measured, floor 12x); projecting one column per
+// side builds two-column tuples, but the 100k-row result's row list dominates
+// both sides (1.4-1.5x measured), so that pair keeps the generic floor.
 // Operators not listed keep the generic 1.0 floor.
 var operatorSpeedupFloors = map[string]float64{
-	"select":   3.0,
-	"project":  1.2,
-	"pipeline": 4.0,
-	"hashjoin": 2.5,
+	"select":          3.0,
+	"project":         1.2,
+	"pipeline":        4.0,
+	"hashjoin":        2.5,
+	"product-count":   12.0,
+	"product-project": 1.0,
 }
 
 // multicoreSpeedupFloor gates the partitioned hash-join build: with 4 workers

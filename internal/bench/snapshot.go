@@ -130,6 +130,23 @@ func snapshotKeyedRelation(name string, n, stride int) *engine.Relation {
 	return r
 }
 
+// The product pairs multiply a snapshotProductLeft-row relation by a
+// snapshotProductRight-row one.
+const (
+	snapshotProductLeft  = 400
+	snapshotProductRight = 250
+	snapshotProductRows  = snapshotProductLeft * snapshotProductRight
+)
+
+// productFixture returns the product pairs' instance and their product plan
+// of L (id, tag, score) and R (id, tag).
+func productFixture() (*engine.Instance, engine.Plan) {
+	db := engine.NewInstance("DP")
+	db.AddRelation(snapshotRelation("L", snapshotProductLeft))
+	db.AddRelation(snapshotKeyedRelation("R", snapshotProductRight, 1))
+	return db, &engine.ProductPlan{Left: &engine.ScanPlan{Relation: "L"}, Right: &engine.ScanPlan{Relation: "R"}}
+}
+
 // measurePair benchmarks the naive and live implementations of one operator.
 func measurePair(rows int, naive, live func() error) (OperatorBench, error) {
 	var firstErr error
@@ -248,6 +265,22 @@ func Snapshot() (*EngineSnapshot, error) {
 					_, err := ex.ExecuteContext(ctx, pipelinePlan)
 					return err
 				}, nil
+		}},
+		// Product pairs: the pipeline's product builds only the columns an
+		// operator above it reads — one per side under the projection, none
+		// under COUNT(*) — where the naive reference materializes every
+		// column of every output row.  rows is the product's output size.
+		{"product-project", snapshotProductRows, func() (func() error, func() error, error) {
+			db, product := productFixture()
+			plan := &engine.ProjectPlan{Columns: []string{"L.tag", "R.tag"}, Child: product}
+			return func() error { _, err := engine.NaiveExecute(ctx, db, plan, engine.NewStats()); return err },
+				func() error { return execPlan(db, plan, nil) }, nil
+		}},
+		{"product-count", snapshotProductRows, func() (func() error, func() error, error) {
+			db, product := productFixture()
+			plan := &engine.AggregatePlan{Func: engine.AggCount, Child: product}
+			return func() error { _, err := engine.NaiveExecute(ctx, db, plan, engine.NewStats()); return err },
+				func() error { return execPlan(db, plan, nil) }, nil
 		}},
 		// Index subsystem pairs: a selective (~0.5%) constant-equality
 		// selection served from the shared per-column index versus the full

@@ -227,16 +227,19 @@ func (s *batchProject) NextBatch() (*Batch, bool, error) {
 // batchProduct is the Cartesian product: the right input is drained and
 // buffered (the product's pipeline-breaking side), then each left batch's
 // live rows pair with every right row, filling output batches of up to size
-// rows.  The current left batch stays valid across emitted output batches
-// because the left child is only pulled again once the batch is consumed.
+// rows.  Each output row gathers the left row's lkeep columns and the right
+// row's rkeep columns — the ones an operator above reads (prune.go).  The
+// current left batch stays valid across emitted output batches because the
+// left child is only pulled again once the batch is consumed.
 type batchProduct struct {
-	ctx         context.Context
-	left, right BatchSource
-	name        string
-	cols        []string
-	size        int
-	stats       *Stats
-	arena       valueArena
+	ctx          context.Context
+	left, right  BatchSource
+	name         string
+	cols         []string
+	lkeep, rkeep []colRun
+	size         int
+	stats        *Stats
+	arena        valueArena
 
 	started bool
 	rrows   []Tuple
@@ -323,7 +326,7 @@ func (s *batchProduct) fill(out []Tuple) ([]Tuple, error) {
 			}
 			s.lb, s.li, s.ri = b, 0, 0
 		}
-		out = append(out, s.arena.concat(liveRow(s.lb, s.li), s.rrows[s.ri]))
+		out = append(out, s.arena.gather(liveRow(s.lb, s.li), s.rrows[s.ri], s.lkeep, s.rkeep, len(s.cols)))
 		s.ri++
 		if s.ri == len(s.rrows) {
 			s.ri = 0
@@ -393,17 +396,19 @@ func drainBatches(src BatchSource) (rows []Tuple, err error) {
 // then pay one build instead of h.  Left batches probe it with their key
 // hashes and bucket heads gathered in tight loops per batch.  Chains preserve
 // build-row order, so output order does not depend on where the build came
-// from.
+// from.  Like the product, each output row gathers only the lkeep/rkeep
+// columns.
 type batchJoin struct {
-	ctx         context.Context
-	left, right BatchSource // right is nil when the build is shared
-	li, ri      int
-	name        string
-	cols        []string
-	size        int
-	workers     int
-	stats       *Stats
-	arena       valueArena
+	ctx          context.Context
+	left, right  BatchSource // right is nil when the build is shared
+	li, ri       int
+	name         string
+	cols         []string
+	lkeep, rkeep []colRun
+	size         int
+	workers      int
+	stats        *Stats
+	arena        valueArena
 
 	// The shared build: the index cache, the base relation whose ri column
 	// it indexes, and the build side's constant filters.
@@ -566,7 +571,7 @@ func (s *batchJoin) fill(out []Tuple) ([]Tuple, error) {
 					continue // filtered out of the build side
 				}
 			}
-			out = append(out, s.arena.concat(s.cur, rr))
+			out = append(out, s.arena.gather(s.cur, rr, s.lkeep, s.rkeep, len(s.cols)))
 			continue
 		}
 		if s.lb == nil || s.pi >= len(s.heads) {
@@ -675,6 +680,7 @@ func (s *batchDistinct) NextBatch() (*Batch, bool, error) {
 type batchAgg struct {
 	ctx   context.Context
 	src   BatchSource
+	cols  []string // the one aggregate column
 	acc   aggAccumulator
 	stats *Stats
 
@@ -683,7 +689,7 @@ type batchAgg struct {
 	outb    Batch
 }
 
-func newBatchAgg(ctx context.Context, src BatchSource, fn AggFunc, column string, stats *Stats) (*batchAgg, error) {
+func newBatchAgg(ctx context.Context, src BatchSource, fn AggFunc, column string, cols []string, stats *Stats) (*batchAgg, error) {
 	if err := validAggFunc(fn); err != nil {
 		return nil, err
 	}
@@ -695,16 +701,13 @@ func newBatchAgg(ctx context.Context, src BatchSource, fn AggFunc, column string
 		}
 	}
 	return &batchAgg{
-		ctx: ctx, src: src, stats: stats,
+		ctx: ctx, src: src, cols: cols, stats: stats,
 		acc: aggAccumulator{fn: fn, idx: idx, column: column},
 	}, nil
 }
 
-func (s *batchAgg) Name() string { return s.src.Name() }
-
-func (s *batchAgg) Columns() []string {
-	return []string{aggOutputColumn(s.acc.fn, s.acc.column)}
-}
+func (s *batchAgg) Name() string      { return s.src.Name() }
+func (s *batchAgg) Columns() []string { return s.cols }
 
 func (s *batchAgg) NextBatch() (*Batch, bool, error) {
 	if s.emitted {
@@ -896,12 +899,31 @@ func (a *valueArena) tuple(n int) Tuple {
 	return t
 }
 
-// concat appends lr and rr into one arena-backed tuple.
-func (a *valueArena) concat(lr, rr Tuple) Tuple {
-	t := a.tuple(len(lr) + len(rr))
-	copy(t, lr)
-	copy(t[len(lr):], rr)
+// gather builds the output row of a product or join: one arena-backed tuple
+// of width values, lr's lkeep columns followed by rr's rkeep columns.  A side
+// kept whole is one run; a row that keeps no column (COUNT(*) over a product)
+// is the empty tuple and allocates nothing.
+func (a *valueArena) gather(lr, rr Tuple, lkeep, rkeep []colRun, width int) Tuple {
+	t := a.tuple(width)
+	o := gatherRuns(t, lr, lkeep)
+	gatherRuns(t[o:], rr, rkeep)
 	return t
+}
+
+// gatherRuns copies row's runs of columns into dst, returning the number of
+// values written.  A one-column run is assigned: for a single value that is
+// cheaper than a copy call, which wins on wide runs.
+func gatherRuns(dst, row Tuple, runs []colRun) int {
+	o := 0
+	for _, r := range runs {
+		if r.to-r.from == 1 {
+			dst[o] = row[r.from]
+			o++
+		} else {
+			o += copy(dst[o:], row[r.from:r.to])
+		}
+	}
+	return o
 }
 
 // canceledEvery reports the context error on the first call and then once per

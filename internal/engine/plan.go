@@ -238,16 +238,18 @@ func (e *Executor) ExecuteContext(ctx context.Context, p Plan) (*Relation, error
 }
 
 // executeBatch compiles the plan into a batch pipeline and materializes its
-// output.
+// output.  The root needs every column it produces, so its result has the
+// plan's full layout; only intermediate products and joins are pruned.
 func (e *Executor) executeBatch(ctx context.Context, p Plan) (*Relation, error) {
+	lay := e.planLayout(p)
 	if n, ok := p.(*ProjectPlan); ok {
 		// Root projection — the shape every reformulated query ends in —
 		// materializes fused: the child pipeline is drained to row headers and
 		// the column gather runs once at the exact output size, instead of
 		// carving per-batch tuples that the root would copy again.
-		return e.executeBatchProjectRoot(ctx, n)
+		return e.executeBatchProjectRoot(ctx, n, lay)
 	}
-	src, err := e.compileBatch(ctx, p)
+	src, _, err := e.compileBatch(ctx, p, lay, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -258,12 +260,12 @@ func (e *Executor) executeBatch(ctx context.Context, p Plan) (*Relation, error) 
 // and gathers the projected columns straight into the result relation.  Column
 // resolution, error messages and recorded statistics are identical to the
 // batchProject operator's.
-func (e *Executor) executeBatchProjectRoot(ctx context.Context, n *ProjectPlan) (*Relation, error) {
-	child, err := e.compileBatch(ctx, n.Child)
+func (e *Executor) executeBatchProjectRoot(ctx context.Context, n *ProjectPlan, lay *layout) (*Relation, error) {
+	child, _, err := e.compileBatch(ctx, n.Child, lay.in[0], needColumns(lay.in[0].cols, n.Columns))
 	if err != nil {
 		return nil, err
 	}
-	idx, outCols, err := projectColumns(child.Columns(), n.Columns)
+	idx, err := projectIndexes(child.Columns(), n.Columns)
 	if err != nil {
 		return nil, err
 	}
@@ -272,31 +274,28 @@ func (e *Executor) executeBatchProjectRoot(ctx context.Context, n *ProjectPlan) 
 		return nil, err
 	}
 	// The drained headers are private to this call and are rewritten in
-	// place: a contiguous projection then allocates nothing at all, any other
-	// only its value slab.
+	// place: a contiguous projection — which a child pruned to exactly the
+	// projected columns always is — allocates nothing at all, any other only
+	// its value slab.
 	if err := projectRows(ctx, rows, idx, rows, nil); err != nil {
 		return nil, err
 	}
-	out := NewRelation(child.Name(), outCols)
-	out.Rows = rows
 	e.Stats.record(OpKindProject, len(rows), len(rows))
-	return out, nil
+	return &Relation{Name: child.Name(), Columns: lay.cols, Rows: rows}, nil
 }
 
-// projectColumns resolves a projection's column list against the input
-// layout.
-func projectColumns(cols, want []string) ([]int, []string, error) {
+// projectIndexes resolves a projection's column list against the input
+// layout.  The output columns are the layout's (planLayout).
+func projectIndexes(cols, want []string) ([]int, error) {
 	idx := make([]int, len(want))
-	outCols := make([]string, len(want))
 	for i, c := range want {
 		j := lookupColumn(cols, c)
 		if j < 0 {
-			return nil, nil, fmt.Errorf("project: column %q not found in %v", c, cols)
+			return nil, fmt.Errorf("project: column %q not found in %v", c, cols)
 		}
 		idx[i] = j
-		outCols[i] = cols[j]
 	}
-	return idx, outCols, nil
+	return idx, nil
 }
 
 // batchSize resolves the executor's configured batch size.
@@ -330,8 +329,12 @@ func (e *Executor) materialScan(ctx context.Context, rel *Relation) *batchScan {
 }
 
 // compileBatch lowers a plan node into the batch pipeline.  Column references
-// are resolved once here, so the per-row path does no name lookups.
-func (e *Executor) compileBatch(ctx context.Context, p Plan) (BatchSource, error) {
+// are resolved once here, so the per-row path does no name lookups.  lay is
+// the node's unpruned layout and need the positions in it that operators
+// above read (nil: all of them); products and joins build only those columns
+// (prune.go).  The second result lists the positions of lay.cols the source
+// produces, in order — nil when it produces all of them.
+func (e *Executor) compileBatch(ctx context.Context, p Plan, lay *layout, need []int) (BatchSource, []int, error) {
 	switch n := p.(type) {
 	case *ScanPlan:
 		if e.Cache != nil {
@@ -339,95 +342,105 @@ func (e *Executor) compileBatch(ctx context.Context, p Plan) (BatchSource, error
 			// records the scan when it first computes it.
 			rel, err := e.ExecuteContext(ctx, n)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			return e.materialScan(ctx, rel), nil
+			return e.materialScan(ctx, rel), nil, nil
 		}
 		base, alias, err := e.scanBase(n)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		return &batchScan{
-			ctx: ctx, name: alias, cols: qualifiedScanColumns(base, alias),
+			ctx: ctx, name: alias, cols: lay.cols,
 			rows: base.Rows, size: e.batchSize(), stats: e.Stats, record: true,
-		}, nil
+		}, nil, nil
 	case *MaterialPlan:
 		if n.Rel == nil {
-			return nil, fmt.Errorf("materialized plan %q has nil relation", n.Label)
+			return nil, nil, fmt.Errorf("materialized plan %q has nil relation", n.Label)
 		}
-		return e.materialScan(ctx, n.Rel), nil
+		return e.materialScan(ctx, n.Rel), nil, nil
 	case *SelectPlan:
-		if src, ok, err := e.compileIndexedSelect(ctx, n); err != nil || ok {
-			return src, err
+		if src, ok, err := e.compileIndexedSelect(ctx, n, lay.cols); err != nil || ok {
+			return src, nil, err
 		}
-		child, err := e.compileBatch(ctx, n.Child)
+		child, has, err := e.compileBatch(ctx, n.Child, lay.in[0], needPredicate(need, lay.cols, n.Pred))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return e.filter(ctx, child, n.Pred)
+		src, err := e.filter(ctx, child, n.Pred)
+		return src, has, err
 	case *ProjectPlan:
-		child, err := e.compileBatch(ctx, n.Child)
+		child, _, err := e.compileBatch(ctx, n.Child, lay.in[0], needColumns(lay.in[0].cols, n.Columns))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		idx, outCols, err := projectColumns(child.Columns(), n.Columns)
+		idx, err := projectIndexes(child.Columns(), n.Columns)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return &batchProject{ctx: ctx, src: child, name: child.Name(), cols: outCols, idx: idx, stats: e.Stats}, nil
+		return &batchProject{ctx: ctx, src: child, name: child.Name(), cols: lay.cols, idx: idx, stats: e.Stats}, nil, nil
 	case *ProductPlan:
-		left, err := e.compileBatch(ctx, n.Left)
+		lout, rout := splitNeed(need, len(lay.in[0].cols))
+		left, lhas, err := e.compileBatch(ctx, n.Left, lay.in[0], lout)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		right, err := e.compileBatch(ctx, n.Right)
+		right, rhas, err := e.compileBatch(ctx, n.Right, lay.in[1], rout)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		return &batchProduct{
 			ctx: ctx, left: left, right: right,
-			name: left.Name() + "x" + right.Name(), cols: concatColumns(left.Columns(), right.Columns()),
+			name: left.Name() + "x" + right.Name(), cols: keptColumns(lay.cols, need),
+			lkeep: keepList(lout, lhas, len(left.Columns())), rkeep: keepList(rout, rhas, len(right.Columns())),
 			size: e.batchSize(), stats: e.Stats,
-		}, nil
+		}, need, nil
 	case *JoinPlan:
-		left, err := e.compileBatch(ctx, n.Left)
+		// Each input also needs its join key, which the output need not keep.
+		lout, rout := splitNeed(need, len(lay.in[0].cols))
+		left, lhas, err := e.compileBatch(ctx, n.Left, lay.in[0], needColumn(lout, lay.in[0].cols, n.LeftCol))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if src, ok, err := e.compileSharedJoin(ctx, n, left); err != nil || ok {
-			return src, err
+		lkeep := keepList(lout, lhas, len(left.Columns()))
+		if src, ok, err := e.compileSharedJoin(ctx, n, left, lay.in[1].cols, keptColumns(lay.cols, need), lkeep, rout); err != nil || ok {
+			return src, need, err
 		}
-		right, err := e.compileBatch(ctx, n.Right)
+		right, rhas, err := e.compileBatch(ctx, n.Right, lay.in[1], needColumn(rout, lay.in[1].cols, n.RightCol))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		li := lookupColumn(left.Columns(), n.LeftCol)
 		if li < 0 {
-			return nil, fmt.Errorf("join: column %q not found in %v", n.LeftCol, left.Columns())
+			return nil, nil, fmt.Errorf("join: column %q not found in %v", n.LeftCol, left.Columns())
 		}
 		ri := lookupColumn(right.Columns(), n.RightCol)
 		if ri < 0 {
-			return nil, fmt.Errorf("join: column %q not found in %v", n.RightCol, right.Columns())
+			return nil, nil, fmt.Errorf("join: column %q not found in %v", n.RightCol, right.Columns())
 		}
 		return &batchJoin{
 			ctx: ctx, left: left, right: right, li: li, ri: ri,
-			name: left.Name() + "⋈" + right.Name(), cols: concatColumns(left.Columns(), right.Columns()),
+			name: left.Name() + "⋈" + right.Name(), cols: keptColumns(lay.cols, need),
+			lkeep: lkeep, rkeep: keepList(rout, rhas, len(right.Columns())),
 			size: e.batchSize(), workers: e.Workers, stats: e.Stats,
-		}, nil
+		}, need, nil
 	case *AggregatePlan:
-		child, err := e.compileBatch(ctx, n.Child)
+		child, _, err := e.compileBatch(ctx, n.Child, lay.in[0], needAggregate(lay.in[0].cols, n.Func, n.Column))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return newBatchAgg(ctx, child, n.Func, n.Column, e.Stats)
+		src, err := newBatchAgg(ctx, child, n.Func, n.Column, lay.cols, e.Stats)
+		return src, nil, err
 	case *DistinctPlan:
-		child, err := e.compileBatch(ctx, n.Child)
+		// Duplicate elimination compares whole rows: its input keeps every
+		// column.
+		child, _, err := e.compileBatch(ctx, n.Child, lay.in[0], nil)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return &batchDistinct{ctx: ctx, src: child, seen: NewTupleSet(distinctSizeHint(child)), stats: e.Stats}, nil
+		return &batchDistinct{ctx: ctx, src: child, seen: NewTupleSet(distinctSizeHint(child)), stats: e.Stats}, nil, nil
 	default:
-		return nil, fmt.Errorf("execute: unsupported plan node %T", p)
+		return nil, nil, fmt.Errorf("execute: unsupported plan node %T", p)
 	}
 }
 
@@ -448,13 +461,6 @@ func distinctSizeHint(src BatchSource) int {
 		return len(s.rows)
 	}
 	return 64
-}
-
-// concatColumns is the column layout of a product or join.
-func concatColumns(left, right []string) []string {
-	cols := make([]string, 0, len(left)+len(right))
-	cols = append(cols, left...)
-	return append(cols, right...)
 }
 
 // executeMaterialized evaluates one plan node of a cached (MQO) executor,
@@ -520,29 +526,29 @@ func qualifiedScanColumns(base *Relation, alias string) []string {
 
 // baseLeaf is the one place that decides whether a plan leaf reads an
 // untouched base relation the shared index may serve, returning the base and
-// the leaf's name and column layout.  A scan names its base directly; a
-// MaterialPlan qualifies when its rows are a base relation's own row list (a
-// materialized scan or an untouched o-sharing fragment).
-func (e *Executor) baseLeaf(p Plan) (*Relation, string, []string, bool) {
+// the leaf's name.  A scan names its base directly; a MaterialPlan qualifies
+// when its rows are a base relation's own row list (a materialized scan or an
+// untouched o-sharing fragment).
+func (e *Executor) baseLeaf(p Plan) (*Relation, string, bool) {
 	if e.Indexes == nil {
-		return nil, "", nil, false
+		return nil, "", false
 	}
 	switch n := p.(type) {
 	case *ScanPlan:
 		base, alias, err := e.scanBase(n)
 		if err != nil {
-			return nil, "", nil, false // the plain compiler reports the unknown relation
+			return nil, "", false // the plain compiler reports the unknown relation
 		}
-		return base, alias, qualifiedScanColumns(base, alias), true
+		return base, alias, true
 	case *MaterialPlan:
 		if n.Rel == nil {
-			return nil, "", nil, false
+			return nil, "", false
 		}
 		if base, ok := e.Indexes.baseForRows(n.Rel.Rows); ok {
-			return base, n.Rel.Name, n.Rel.Columns, true
+			return base, n.Rel.Name, true
 		}
 	}
-	return nil, "", nil, false
+	return nil, "", false
 }
 
 // constFilterStack unwraps a chain of constant-only selections down to a leaf,
@@ -577,13 +583,13 @@ func constFilterStack(p Plan) (Plan, []Predicate, bool) {
 // plan back to the plain compiler (wrong shape, or no equality to probe
 // with).  Whether the probe is actually answerable from the index depends on
 // the column's content and is decided when the source starts; if not, it runs
-// the plain pipeline itself.
-func (e *Executor) compileIndexedSelect(ctx context.Context, top *SelectPlan) (BatchSource, bool, error) {
+// the plain pipeline itself.  cols is the leaf's layout.
+func (e *Executor) compileIndexedSelect(ctx context.Context, top *SelectPlan, cols []string) (BatchSource, bool, error) {
 	leaf, stack, ok := constFilterStack(top)
 	if !ok {
 		return nil, false, nil
 	}
-	base, name, cols, ok := e.baseLeaf(leaf)
+	base, name, ok := e.baseLeaf(leaf)
 	if !ok {
 		return nil, false, nil
 	}
@@ -633,7 +639,7 @@ func (e *Executor) compileIndexedSelect(ctx context.Context, top *SelectPlan) (B
 		}
 	}
 	plain := func() (BatchSource, error) {
-		src, err := e.compileBatch(ctx, leaf)
+		src, _, err := e.compileBatch(ctx, leaf, e.planLayout(leaf), nil)
 		for _, pred := range stack {
 			if err != nil {
 				break
@@ -652,14 +658,16 @@ func (e *Executor) compileIndexedSelect(ctx context.Context, top *SelectPlan) (B
 // compileSharedJoin lowers an equi-join whose build (right) side is a bare or
 // constant-filtered untouched base relation into a join over the shared
 // per-column index: the build table is the instance's index and the
-// build-side constant filters run per probed candidate.  ok=false hands the
-// join back to the plain compiler.
-func (e *Executor) compileSharedJoin(ctx context.Context, n *JoinPlan, left BatchSource) (BatchSource, bool, error) {
+// build-side constant filters run per probed candidate.  The join outputs
+// cols: left's lkeep columns followed by the base relation's rout columns
+// (nil: all); rcols is the right leaf's layout.  ok=false hands the join back
+// to the plain compiler.
+func (e *Executor) compileSharedJoin(ctx context.Context, n *JoinPlan, left BatchSource, rcols, cols []string, lkeep []colRun, rout []int) (BatchSource, bool, error) {
 	leaf, stack, ok := constFilterStack(n.Right)
 	if !ok {
 		return nil, false, nil
 	}
-	base, name, rcols, ok := e.baseLeaf(leaf)
+	base, name, ok := e.baseLeaf(leaf)
 	if !ok {
 		return nil, false, nil
 	}
@@ -682,7 +690,8 @@ func (e *Executor) compileSharedJoin(ctx context.Context, n *JoinPlan, left Batc
 	}
 	return &batchJoin{
 		ctx: ctx, left: left, li: li, ri: ri,
-		name: left.Name() + "⋈" + name, cols: concatColumns(lcols, rcols),
+		name: left.Name() + "⋈" + name, cols: cols,
+		lkeep: lkeep, rkeep: keepList(rout, nil, len(rcols)),
 		size: e.batchSize(), stats: e.Stats,
 		cache: e.Indexes, base: base, levels: levels,
 	}, true, nil

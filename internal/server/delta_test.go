@@ -96,6 +96,26 @@ func mustPrepare(t *testing.T, sc *Scenario, text string) *core.Prepared {
 	return prep
 }
 
+// TestEvaluateDeltaTimesPreparation: building the delta plan (reformulating
+// into the scatter form) is part of a delta-path evaluation's time.  It is
+// the result's rewrite phase, and TotalTime covers it together with the
+// execution and merge phases, so no share of the request goes unattributed.
+func TestEvaluateDeltaTimesPreparation(t *testing.T) {
+	_, sc := newTestServer(t, 40, Config{})
+	prep := mustPrepare(t, sc, deltaQuery)
+	res, _, _, err := sc.EvaluateDelta(context.Background(), prep, core.Options{Method: core.MethodEBasic, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RewriteTime <= 0 {
+		t.Fatalf("RewriteTime = %v: the delta plan's preparation was not timed", res.RewriteTime)
+	}
+	if phases := res.RewriteTime + res.ExecTime + res.AggregateTime; res.TotalTime < phases {
+		t.Fatalf("TotalTime %v < rewrite %v + execute %v + aggregate %v: the total misses a phase",
+			res.TotalTime, res.RewriteTime, res.ExecTime, res.AggregateTime)
+	}
+}
+
 // TestDeltaFallbackPaths: o-sharing (no per-group stream) and top-k requests
 // still answer correctly through the ordinary evaluator, counted as fallbacks;
 // an explicit Bump purges maintained entries and counts as an epoch

@@ -402,7 +402,9 @@ func (s *Scenario) EvaluatePrepared(ctx context.Context, prep *core.Prepared, to
 // maintain), runs the full evaluation once, and returns the result together
 // with the maintained state and the epoch the evaluation saw — everything the
 // reconciler needs to enroll the entry.  Answers are bit-identical to
-// EvaluatePrepared's for the same options.
+// EvaluatePrepared's for the same options.  Building the delta plan
+// (reformulating into the scatter form) counts as the result's RewriteTime,
+// and TotalTime covers it.
 func (s *Scenario) EvaluateDelta(ctx context.Context, prep *core.Prepared, opts core.Options) (*core.Result, *core.DeltaState, uint64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -410,16 +412,18 @@ func (s *Scenario) EvaluateDelta(ctx context.Context, prep *core.Prepared, opts 
 	if opts.BatchSize != 0 {
 		ec = ec.WithBatch(opts.BatchSize)
 	}
+	start := time.Now()
 	dp, err := core.PrepareDelta(prep, ec, opts)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	start := time.Now()
+	rewrite := time.Since(start)
 	st, err := dp.EvaluateFull(ec, s.db)
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	res := st.Result()
+	res.RewriteTime += rewrite
 	res.TotalTime = time.Since(start)
 	return res, st, s.epoch.Load(), nil
 }
